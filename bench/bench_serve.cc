@@ -178,7 +178,6 @@ RunResult RunServe(size_t num_keywords, size_t num_requests, size_t threads,
   ServeOptions soptions;
   soptions.num_threads = threads;
   soptions.queue_cap = kQueueCap;
-  soptions.max_batch = 64;
   // Refits re-run the optimizer; trim the search so the 2% refit share
   // costs milliseconds, not the full offline fit budget.
   soptions.fit.max_outer_rounds = 2;
@@ -355,7 +354,6 @@ NetRunResult RunServeNet(size_t num_keywords, size_t num_requests,
   ServeOptions soptions;
   soptions.num_threads = threads;
   soptions.queue_cap = kQueueCap;
-  soptions.max_batch = 64;
   soptions.fit.max_outer_rounds = 2;
   soptions.fit.max_shocks_per_keyword = 2;
   ServeEngine engine(&registry, soptions);
@@ -537,7 +535,6 @@ FairnessResult RunFairness(const std::string& spill_dir) {
   ServeOptions soptions;
   soptions.num_threads = 2;
   soptions.queue_cap = kQueueCap;
-  soptions.max_batch = 16;
   soptions.tenant_quota = 8;  // the flood's slice of the queue
   soptions.fit.max_outer_rounds = 2;
   soptions.fit.max_shocks_per_keyword = 2;

@@ -413,8 +413,8 @@ void NetServer::ProcessCompletions() {
 
 bool NetServer::PumpReplies(Conn& conn) {
   // Replies go on the wire in REQUEST order per connection, regardless of
-  // the order worker batches completed them — the wire contract matches
-  // the stdin/stdout pipe exactly.
+  // the order the engine's per-keyword strands completed them — the wire
+  // contract matches the stdin/stdout pipe exactly.
   uint64_t queued = 0;
   while (!conn.ready.empty() &&
          conn.ready.begin()->first == conn.next_write_seq) {

@@ -4,13 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "core/schedule_cache.h"
 #include "core/simulate.h"
 #include "obs/metrics.h"
-#include "parallel/parallel_for.h"
+#include "parallel/thread_pool.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -52,8 +51,10 @@ const char* ServeOpName(ServeOp op) {
 ServeEngine::ServeEngine(ModelRegistry* registry, const ServeOptions& options)
     : registry_(registry), options_(options) {
   options_.queue_cap = std::max<size_t>(size_t{1}, options_.queue_cap);
-  options_.max_batch = std::max<size_t>(size_t{1}, options_.max_batch);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  const size_t threads = EffectiveNumThreads(options_.num_threads);
+  for (size_t i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 ServeEngine::~ServeEngine() { Stop(); }
@@ -178,17 +179,17 @@ ServeReply ServeEngine::Call(ServeRequest request) {
 
 void ServeEngine::Stop() {
   std::deque<Pending> drained;
-  std::thread dispatcher;
+  std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
     drained.swap(queue_);
     queued_per_tenant_.clear();
-    // Claim the dispatcher thread under the lock: concurrent Stop()
-    // calls (e.g. an explicit Stop racing the destructor) must not both
-    // see a joinable thread and join it twice — that is UB. Exactly one
-    // caller moves the handle out and joins; the others find it empty.
-    dispatcher = std::move(dispatcher_);
+    // Claim the worker threads under the lock: concurrent Stop() calls
+    // (e.g. an explicit Stop racing the destructor) must not both see a
+    // joinable thread and join it twice — that is UB. Exactly one caller
+    // moves the handles out and joins; the others find none.
+    workers.swap(workers_);
   }
   cv_.notify_all();
   for (Pending& pending : drained) {
@@ -197,8 +198,8 @@ void ServeEngine::Stop() {
     reply.status = Status::Cancelled("serve engine stopped");
     pending.done(std::move(reply));
   }
-  if (dispatcher.joinable()) {
-    dispatcher.join();
+  for (std::thread& worker : workers) {
+    worker.join();
   }
 }
 
@@ -219,78 +220,57 @@ std::vector<ServeRequest> ServeEngine::TakeRequestLog() {
   return log;
 }
 
-void ServeEngine::DispatchLoop() {
+void ServeEngine::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    // The strand rule: take the first queued request whose keyword has
+    // nothing executing. Any earlier request of the same keyword would
+    // have been found first, so each keyword runs in admission order.
+    auto next = queue_.end();
+    cv_.wait(lock, [this, &next] {
       if (stopping_) {
-        return;
+        return true;
       }
-      const size_t take = std::min(options_.max_batch, queue_.size());
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        auto count = queued_per_tenant_.find(queue_.front().request.tenant);
-        if (count != queued_per_tenant_.end() && --count->second == 0) {
-          queued_per_tenant_.erase(count);
-        }
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      DSPOT_GAUGE_SET("serve.queue.depth", static_cast<double>(queue_.size()));
-      ++stats_.batches;
+      next = std::find_if(queue_.begin(), queue_.end(),
+                          [this](const Pending& pending) {
+                            return busy_keywords_.count(
+                                       pending.request.keyword) == 0;
+                          });
+      return next != queue_.end();
+    });
+    if (stopping_) {
+      return;
     }
-    ExecuteBatch(std::move(batch));
-  }
-}
+    Pending pending = std::move(*next);
+    queue_.erase(next);
+    auto count = queued_per_tenant_.find(pending.request.tenant);
+    if (count != queued_per_tenant_.end() && --count->second == 0) {
+      queued_per_tenant_.erase(count);
+    }
+    busy_keywords_.insert(pending.request.keyword);
+    ++stats_.batches;
+    DSPOT_GAUGE_SET("serve.queue.depth", static_cast<double>(queue_.size()));
+    lock.unlock();
 
-void ServeEngine::ExecuteBatch(std::vector<Pending> batch) {
-  // Group the batch by keyword, PRESERVING admission order inside each
-  // group: a fit admitted before a forecast of the same keyword must be
-  // visible to it. Groups of different keywords commute (every model is
-  // keyed by its own keyword), so they run concurrently; each request's
-  // reply lands in its own pre-assigned slot, making the reply set
-  // bit-identical at any thread count.
-  std::vector<std::vector<size_t>> groups;
-  {
-    std::unordered_map<std::string, size_t> group_of;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto [it, inserted] =
-          group_of.emplace(batch[i].request.keyword, groups.size());
-      if (inserted) {
-        groups.emplace_back();
-      }
-      groups[it->second].push_back(i);
-    }
-  }
-  std::vector<ServeReply> replies(batch.size());
-  ParallelOptions parallel;
-  parallel.num_threads = options_.num_threads;
-  ParallelFor(groups.size(), parallel, [this, &batch, &groups,
-                                        &replies](size_t g) {
-    for (size_t index : groups[g]) {
-      replies[index] = Execute(batch[index].request, batch[index].deadline);
-    }
-  });
-  uint64_t expired = 0;
-  for (const ServeReply& reply : replies) {
+    ServeReply reply = Execute(pending.request, pending.deadline);
+
+    // Stats move BEFORE the reply is delivered: a client returning from
+    // Call() must observe its own request in the counters.
+    lock.lock();
+    busy_keywords_.erase(pending.request.keyword);
+    ++stats_.completed;
     if (reply.status.code() == StatusCode::kDeadlineExceeded) {
-      ++expired;
+      ++stats_.deadline_expired;
     }
-  }
-  // Stats move BEFORE the replies are delivered: a client returning from
-  // Call() must observe its own request in the counters.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.completed += batch.size();
-    stats_.deadline_expired += expired;
-    for (const Pending& pending : batch) {
-      ++tenant_stats_[pending.request.tenant].completed;
+    ++tenant_stats_[pending.request.tenant].completed;
+    // The freed keyword may unblock a queued request that an idle worker
+    // can start while this one delivers.
+    if (!queue_.empty()) {
+      cv_.notify_one();
     }
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].done(std::move(replies[i]));
+    lock.unlock();
+    pending.done(std::move(reply));
+    lock.lock();
   }
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -20,20 +21,22 @@
 
 namespace dspot {
 
-/// dspot_serve's request path: a bounded admission queue feeding a
-/// dispatcher that batches requests onto the dspot_parallel pool, with
-/// per-request deadlines/cancellation via dspot_guard and a ModelRegistry
-/// as the model store.
+/// dspot_serve's request path: a bounded admission queue drained by
+/// worker threads through per-keyword strands, with per-request
+/// deadlines/cancellation via dspot_guard and a ModelRegistry as the
+/// model store. A worker takes the first queued request whose keyword has
+/// nothing executing and delivers its reply as soon as it finishes, so a
+/// forecast never waits for another keyword's refit.
 ///
 /// DETERMINISM: replies are a pure function of the request sequence, at
 /// any worker thread count, provided (a) the registry has a spill
 /// directory (so evictions reload bit-identically), (b) deadlines are
 /// left infinite (expiry is a wall-clock event), and (c) the queue never
-/// overflows (shedding depends on arrival timing). The dispatcher batches
-/// FIFO prefixes and executes each keyword's requests sequentially in
-/// admission order; requests of different keywords commute because every
-/// model is keyed by its own keyword. serve_test holds an 8-thread run
-/// bit-identical to a serial replay of the same log.
+/// overflows (shedding depends on arrival timing). Each keyword's
+/// requests run one at a time in admission order; requests of different
+/// keywords commute because every model is keyed by its own keyword.
+/// serve_test holds a 4-thread run bit-identical to a serial replay of
+/// the same log.
 
 enum class ServeOp : uint32_t {
   kFit = 0,           ///< cold-fit `values`, store the model
@@ -87,8 +90,8 @@ struct ServeReply {
 };
 
 struct ServeOptions {
-  /// Worker threads for batch execution (0 = hardware concurrency,
-  /// 1 = serial). Replies are bit-identical across settings (see above).
+  /// Worker threads (0 = hardware concurrency, 1 = serial). Replies are
+  /// bit-identical across settings (see above).
   size_t num_threads = 1;
   /// Admission queue bound. A Submit against a full queue sheds the
   /// OLDEST queued request — its reply carries kResourceExhausted — and
@@ -107,8 +110,6 @@ struct ServeOptions {
   /// Default per-request budget when ServeRequest::deadline_ms == 0;
   /// 0 = infinite.
   double default_deadline_ms = 0.0;
-  /// Max requests drained into one execution batch.
-  size_t max_batch = 64;
   /// Record every ADMITTED request in admission order (TakeRequestLog);
   /// the determinism test and bench replay this log serially.
   bool record_log = false;
@@ -122,7 +123,9 @@ struct ServeStats {
   uint64_t completed = 0;          ///< replies delivered (any status)
   uint64_t admission_rejects = 0;  ///< shed with kResourceExhausted
   uint64_t deadline_expired = 0;   ///< replied kDeadlineExceeded unexecuted
-  uint64_t batches = 0;            ///< dispatcher batches executed
+  /// Requests handed to a worker (one per executed request; the name
+  /// predates strands and stays for existing readers).
+  uint64_t batches = 0;
   uint64_t max_queue_depth = 0;    ///< high-water mark of queued requests
 };
 
@@ -136,7 +139,7 @@ struct TenantCounters {
 
 class ServeEngine {
  public:
-  /// `registry` must outlive the engine. The dispatcher thread starts
+  /// `registry` must outlive the engine. The worker threads start
   /// immediately.
   ServeEngine(ModelRegistry* registry, const ServeOptions& options);
 
@@ -162,8 +165,8 @@ class ServeEngine {
   /// Submit + wait. Convenience for tests and serial clients.
   ServeReply Call(ServeRequest request);
 
-  /// Stops the dispatcher: requests still queued are replied kCancelled,
-  /// in-flight batches finish. Idempotent.
+  /// Stops the workers: requests still queued are replied kCancelled,
+  /// in-flight requests finish. Idempotent.
   void Stop();
 
   ServeStats stats() const;
@@ -181,8 +184,7 @@ class ServeEngine {
     Deadline deadline;  ///< armed at admission
   };
 
-  void DispatchLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
+  void WorkerLoop();
   /// Executes one request against the registry (no queue interaction).
   ServeReply Execute(const ServeRequest& request, const Deadline& deadline);
   /// Picks the queued request admission must shed to make room for an
@@ -199,12 +201,14 @@ class ServeEngine {
   /// Queued-slot count per tenant (entries removed at zero, so the map
   /// stays bounded by the set of currently queued tenants).
   std::unordered_map<std::string, uint64_t> queued_per_tenant_;
+  /// Keywords with a request executing: the strand guard.
+  std::unordered_set<std::string> busy_keywords_;
   bool stopping_ = false;
   ServeStats stats_;
   std::map<std::string, TenantCounters> tenant_stats_;
   std::vector<ServeRequest> request_log_;
 
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dspot

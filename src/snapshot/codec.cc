@@ -77,7 +77,10 @@ StatusOr<double> ByteReader::GetDouble() {
 }
 
 StatusOr<std::string> ByteReader::GetString() {
-  DSPOT_ASSIGN_OR_RETURN(uint64_t len, GetCount(remaining(), "string length"));
+  // Bound the length by what follows its own 8-byte prefix: remaining()
+  // taken before the prefix is read would admit 8 bytes past the end.
+  const uint64_t after_prefix = remaining() >= 8 ? remaining() - 8 : 0;
+  DSPOT_ASSIGN_OR_RETURN(uint64_t len, GetCount(after_prefix, "string length"));
   std::string s(reinterpret_cast<const char*>(data_ + offset_),
                 static_cast<size_t>(len));
   offset_ += static_cast<size_t>(len);

@@ -1,9 +1,9 @@
 // dspot_serve: the sharded LRU model registry (spill, reload, by-name
-// remap), the batching request engine (admission control, deadlines,
-// determinism), and the wire protocol. The concurrency tests run N client
-// threads against an evicting registry and hold the replies bit-identical
-// to a serial replay of the admitted request log — serving must never
-// trade correctness for parallelism.
+// remap), the request engine (per-keyword strands, admission control,
+// deadlines, determinism), and the wire protocol. The concurrency tests
+// run N client threads against an evicting registry and hold the replies
+// bit-identical to a serial replay of the admitted request log — serving
+// must never trade correctness for parallelism.
 
 #include "serve/serve_engine.h"
 
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -494,12 +495,11 @@ TEST(ServeEngine, ShedsOldestRequestWhenQueueOverflows) {
   ServeOptions options;
   options.num_threads = 1;
   options.queue_cap = 2;
-  options.max_batch = 1;
   ServeEngine engine(&registry, options);
 
-  // Occupy the dispatcher with a slow cold fit so later submissions pile
-  // up deterministically; wait until the fit is IN FLIGHT (dequeued into
-  // a batch), or the burst below could shed the fit itself.
+  // Occupy the only worker with a slow cold fit so later submissions pile
+  // up deterministically; wait until the fit is IN FLIGHT (handed to the
+  // worker), or the burst below could shed the fit itself.
   ServeRequest slow;
   slow.id = 100;
   slow.op = ServeOp::kFit;
@@ -510,7 +510,7 @@ TEST(ServeEngine, ShedsOldestRequestWhenQueueOverflows) {
     std::this_thread::yield();
   }
 
-  // With the dispatcher busy and cap 2: r1, r2 queue; r3 sheds r1; r4
+  // With the worker busy and cap 2: r1, r2 queue; r3 sheds r1; r4
   // sheds r2.
   std::vector<std::future<ServeReply>> futures;
   for (uint64_t i = 1; i <= 4; ++i) {
@@ -544,11 +544,10 @@ TEST(ServeEngine, TenantQuotaShedsOnlyTheFloodingTenant) {
   ServeOptions options;
   options.num_threads = 1;
   options.queue_cap = 16;
-  options.max_batch = 1;
   options.tenant_quota = 2;
   ServeEngine engine(&registry, options);
 
-  // Same dispatcher-busy setup as the global shed test: a slow cold fit
+  // Same worker-busy setup as the global shed test: a slow cold fit
   // must be IN FLIGHT before the bursts below, or they could shed it.
   ServeRequest slow;
   slow.id = 100;
@@ -620,7 +619,6 @@ TEST(ServeEngine, GlobalOverflowShedsTheFullestTenant) {
   ServeOptions options;
   options.num_threads = 1;
   options.queue_cap = 3;
-  options.max_batch = 1;
   options.tenant_quota = 3;  // quotas alone do not trip; the CAP does
   ServeEngine engine(&registry, options);
 
@@ -672,7 +670,6 @@ TEST(ServeEngine, ZeroQuotaKeepsLegacySingleQueueBehavior) {
   ServeOptions options;
   options.num_threads = 1;
   options.queue_cap = 2;
-  options.max_batch = 1;
   ASSERT_EQ(options.tenant_quota, 0u);  // the default disables slicing
   ServeEngine engine(&registry, options);
 
@@ -739,7 +736,7 @@ TEST(ServeEngine, ExpiredDeadlineRejectsBeforeTouchingState) {
   fit.op = ServeOp::kFit;
   fit.keyword = "late";
   fit.values = TestSeries(64, 0.0);
-  fit.deadline_ms = 1e-6;  // expires before the dispatcher can run it
+  fit.deadline_ms = 1e-6;  // expires before a worker can run it
   ServeReply reply = engine.Call(fit);
   EXPECT_EQ(reply.status.code(), StatusCode::kDeadlineExceeded)
       << reply.status.ToString();
@@ -752,7 +749,6 @@ TEST(ServeEngine, StopCancelsQueuedRequests) {
   ModelRegistry registry(RegistryOptions{});
   ServeOptions options;
   options.num_threads = 1;
-  options.max_batch = 1;
   ServeEngine engine(&registry, options);
   ServeRequest slow;
   slow.id = 1;
@@ -782,6 +778,41 @@ TEST(ServeEngine, StopCancelsQueuedRequests) {
   after.keyword = "slow";
   after.horizon = 4;
   EXPECT_EQ(engine.Call(after).status.code(), StatusCode::kCancelled);
+}
+
+// Per-keyword strands: a forecast on one keyword is answered while a
+// slow fit on another keyword is still executing. A batch barrier would
+// hold the forecast's reply until every request dispatched before it,
+// the fit included, had finished.
+TEST(ServeEngine, ForecastIsNotHeldBehindAnotherKeywordsSlowFit) {
+  ModelRegistry registry(RegistryOptions{});
+  ASSERT_TRUE(registry.Put(MakeModel("fast", 1.0)).ok());
+  ServeOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(&registry, options);
+
+  ServeRequest slow;
+  slow.id = 1;
+  slow.op = ServeOp::kFit;
+  slow.keyword = "slow";
+  slow.values = TestSeries(1024, 0.1);
+  std::future<ServeReply> slow_future = engine.Submit(slow);
+  while (engine.stats().batches < 1) {
+    std::this_thread::yield();
+  }
+
+  ServeRequest forecast;
+  forecast.id = 2;
+  forecast.op = ServeOp::kForecast;
+  forecast.keyword = "fast";
+  forecast.horizon = 4;
+  ServeReply reply = engine.Call(forecast);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.values.size(), 4u);
+  EXPECT_EQ(slow_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the forecast's reply waited for the other keyword's fit";
+  EXPECT_TRUE(slow_future.get().status.ok());
 }
 
 // Regression (review): the forecast horizon is an unvalidated u64 off
@@ -841,7 +872,7 @@ TEST(ServeEngine, ForecastRejectsOverlongStoredModel) {
 }
 
 // Regression (review): concurrent Stop() calls (e.g. an explicit Stop
-// racing the destructor) must not both join the dispatcher thread —
+// racing the destructor) must not both join a worker thread —
 // joining the same std::thread twice is UB. TSan covers the race.
 TEST(ServeEngine, ConcurrentStopIsSafe) {
   for (int round = 0; round < 8; ++round) {
@@ -861,10 +892,9 @@ TEST(ServeEngine, ConcurrentStopIsSafe) {
 // The serving acceptance bar: N concurrent clients with mixed
 // forecast/refit/outlier traffic against an EVICTING registry produce
 // replies bit-identical to a single-threaded serial replay of the
-// admitted request log.
-TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
+// admitted request log. Runs once per keyword-set size (see the TEST).
+void ExpectConcurrentMixedWorkloadMatchesSerialReplay(size_t num_keywords) {
   constexpr size_t kClients = 4;
-  constexpr size_t kKeywords = 6;
   constexpr size_t kRequestsPerClient = 24;
   constexpr size_t kTicks = 64;
 
@@ -878,13 +908,12 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
 
   ServeOptions serve_options;
   serve_options.num_threads = 4;
-  serve_options.max_batch = 8;
   serve_options.record_log = true;
   ServeEngine engine(&registry, serve_options);
 
   // Phase 1: fit every keyword (serially, so the mixed phase always finds
   // a model).
-  for (size_t kw = 0; kw < kKeywords; ++kw) {
+  for (size_t kw = 0; kw < num_keywords; ++kw) {
     ServeRequest fit;
     fit.id = kw;
     fit.op = ServeOp::kFit;
@@ -899,10 +928,10 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
   std::vector<std::map<uint64_t, ServeReply>> replies(kClients);
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([c, &engine, &replies] {
+    clients.emplace_back([c, num_keywords, &engine, &replies] {
       for (size_t step = 0; step < kRequestsPerClient; ++step) {
         const uint64_t id = 1000 + c * 1000 + step;
-        const size_t kw = (c * 7 + step * 3) % kKeywords;
+        const size_t kw = (c * 7 + step * 3) % num_keywords;
         ServeRequest request;
         request.id = id;
         request.keyword = "kw" + std::to_string(kw);
@@ -926,11 +955,14 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
     t.join();
   }
   const std::vector<ServeRequest> log = engine.TakeRequestLog();
-  ASSERT_EQ(log.size(), kKeywords + kClients * kRequestsPerClient);
+  ASSERT_EQ(log.size(), num_keywords + kClients * kRequestsPerClient);
   const RegistryStats concurrent_stats = registry.stats();
-  EXPECT_GT(concurrent_stats.evictions, 0u)
-      << "budget did not force eviction churn; the test lost its point";
-  EXPECT_GT(concurrent_stats.reloads, 0u);
+  // A single keyword fits the budget; only the spread input must churn.
+  if (num_keywords > 1) {
+    EXPECT_GT(concurrent_stats.evictions, 0u)
+        << "budget did not force eviction churn; the test lost its point";
+    EXPECT_GT(concurrent_stats.reloads, 0u);
+  }
 
   // Serial replay of the same log on a fresh engine at 1 thread.
   RegistryOptions replay_registry_options = registry_options;
@@ -958,6 +990,17 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
     }
   }
   EXPECT_EQ(compared, kClients * kRequestsPerClient);
+}
+
+// Two inputs at 4 worker threads: a keyword set spread wider than the
+// registry budget (eviction churn, strands overlapping freely), and one
+// hot keyword (every request contends for the same strand across
+// workers).
+TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
+  for (size_t keywords : {size_t{6}, size_t{1}}) {
+    SCOPED_TRACE(std::to_string(keywords) + " keyword(s)");
+    ExpectConcurrentMixedWorkloadMatchesSerialReplay(keywords);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,6 +1111,27 @@ TEST(ServeProtocol, RejectsTruncatedAndHostileFrames) {
     auto have = ReadRequestFrame(stream, "test", &out);
     ASSERT_FALSE(have.ok());
     EXPECT_EQ(have.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A keyword length that also counts its own 8-byte prefix is rejected
+  // at the length, not read 8 bytes past the end of the payload. The
+  // payload is a prefix of a larger buffer, so an over-read stays inside
+  // allocated memory and shows up as a wrong error instead of a crash.
+  {
+    std::vector<uint8_t> buffer = EncodeRequestPayload(request);
+    constexpr size_t kKeywordLengthAt = 16;  // after tag u32, id u64, op u32
+    constexpr uint64_t kFollowing = 3;       // bytes after the length prefix
+    const size_t payload_size = kKeywordLengthAt + 8 + kFollowing;
+    buffer.resize(payload_size + 64);
+    const uint64_t claimed = 8 + kFollowing;
+    for (size_t i = 0; i < 8; ++i) {
+      buffer[kKeywordLengthAt + i] = static_cast<uint8_t>(claimed >> (8 * i));
+    }
+    auto decoded = DecodeRequestPayload(buffer.data(), payload_size, "test");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(decoded.status().message().find("string length"),
+              std::string::npos)
+        << decoded.status().ToString();
   }
 }
 

@@ -2,7 +2,8 @@
 //
 // Speaks the length-prefixed frame protocol of src/serve/protocol.h on
 // stdin/stdout: each request frame is admitted into a bounded queue,
-// batched onto the worker pool, and answered with one reply frame IN
+// run by a worker as soon as no earlier request of its keyword is still
+// executing (per-keyword strands), and answered with one reply frame IN
 // ADMISSION ORDER. Replies are a pure function of the request sequence —
 // bit-identical at any --threads setting — as long as a --spill-dir is
 // configured (so LRU evictions reload exactly) and deadlines are off.
@@ -18,7 +19,6 @@
 //     [--max-resident-bytes B]   registry budget; accepts 64M / 2GiB / ...
 //     [--spill-dir D]            snapshot spill directory (created)
 //     [--shards N]               registry shards (default 8)
-//     [--max-batch N]            dispatcher batch size (default 64)
 //     [--metrics-json F]         write an obs metrics snapshot on exit
 //   --listen PORT      serve the same frame protocol over TCP (epoll event
 //                      loop on 127.0.0.1; 0 = ephemeral port) instead of
@@ -480,7 +480,6 @@ int Serve(const Flags& flags) {
   int64_t threads = 0;
   int64_t queue_cap = 0;
   int64_t shards = 0;
-  int64_t max_batch = 0;
   int64_t tenant_quota = 0;
   int64_t listen_port = 0;
   int64_t max_conns = 0;
@@ -490,7 +489,6 @@ int Serve(const Flags& flags) {
   if (!ParseIntFlag(flags, "--threads", 1, 0, kMax, &threads) ||
       !ParseIntFlag(flags, "--queue-cap", 1024, 1, kMax, &queue_cap) ||
       !ParseIntFlag(flags, "--shards", 8, 1, kMax, &shards) ||
-      !ParseIntFlag(flags, "--max-batch", 64, 1, kMax, &max_batch) ||
       !ParseIntFlag(flags, "--tenant-quota", 0, 0, kMax, &tenant_quota) ||
       !ParseIntFlag(flags, "--listen", 0, 0, 65535, &listen_port) ||
       !ParseIntFlag(flags, "--max-conns", 256, 1, kMax, &max_conns) ||
@@ -525,7 +523,6 @@ int Serve(const Flags& flags) {
   ServeOptions serve_options;
   serve_options.num_threads = static_cast<size_t>(threads);
   serve_options.queue_cap = static_cast<size_t>(queue_cap);
-  serve_options.max_batch = static_cast<size_t>(max_batch);
   serve_options.default_deadline_ms = deadline_ms;
   serve_options.tenant_quota = static_cast<size_t>(tenant_quota);
   ServeEngine engine(&registry, serve_options);
@@ -767,7 +764,7 @@ int Connect(const Flags& flags) {
 bool RejectUnknownArguments(const Flags& flags) {
   static const char* kKnown[] = {
       "--help",         "--threads",      "--queue-cap",
-      "--shards",       "--max-batch",    "--deadline-ms",
+      "--shards",       "--deadline-ms",
       "--max-resident-bytes",             "--spill-dir",
       "--metrics-json", "--gen-requests", "--gen-keywords",
       "--gen-ticks",    "--gen-horizon",  "--seed",
@@ -808,8 +805,7 @@ int Main(int argc, char** argv) {
                  "[--deadline-ms MS]\n"
                  "                   [--max-resident-bytes B] [--spill-dir D] "
                  "[--shards N]\n"
-                 "                   [--max-batch N] [--tenant-quota N] "
-                 "[--metrics-json F]\n"
+                 "                   [--tenant-quota N] [--metrics-json F]\n"
                  "       dspot_serve --listen PORT [--max-conns N] "
                  "[--port-file F]\n"
                  "                   [...all serve flags above]\n"
