@@ -183,9 +183,7 @@ inline std::string WeekToCalendar(size_t tick) {
   const size_t year = 2004 + tick / 52;
   const size_t week = tick % 52;
   const size_t month = std::min<size_t>(week * 12 / 52, 11);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%zu-%s", year, kMonths[month]);
-  return buf;
+  return std::to_string(year) + "-" + kMonths[month];
 }
 
 /// Human description of a detected shock on the weekly calendar axis.

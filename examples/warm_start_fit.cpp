@@ -62,8 +62,8 @@ int main() {
   std::printf("[cold fit]   %.0f ms, %.0f LM iterations, MDL %.0f bits\n",
               cold_ms, cold_iters, cold->total_cost_bits);
 
-  // 2. Save the fitted model and load it back. Binary and JSON backends
-  // decode to the same model bit for bit; binary is shown here.
+  // 2. Save the fitted model and load it back; the snapshot decodes to
+  // the same model bit for bit.
   const std::string path = "warm_start_fit.model";
   const ModelSnapshot snapshot = MakeSnapshot(*cold, tensor);
   if (Status s = SaveSnapshot(snapshot, path); !s.ok()) {

@@ -214,65 +214,4 @@ StatusOr<std::vector<double>> QrLeastSquares(const Matrix& a,
   return x;
 }
 
-StatusOr<std::vector<double>> LuSolve(const Matrix& a,
-                                      const std::vector<double>& b) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("LuSolve: matrix is not square");
-  }
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("LuSolve: size mismatch");
-  }
-  const size_t n = a.rows();
-  Matrix lu = a;
-  std::vector<size_t> perm(n);
-  for (size_t i = 0; i < n; ++i) perm[i] = i;
-  for (size_t k = 0; k < n; ++k) {
-    // Partial pivoting.
-    size_t pivot = k;
-    double best = std::fabs(lu(k, k));
-    for (size_t i = k + 1; i < n; ++i) {
-      const double v = std::fabs(lu(i, k));
-      if (v > best) {
-        best = v;
-        pivot = i;
-      }
-    }
-    if (best < 1e-14) {
-      return Status::NumericalError("LuSolve: singular matrix");
-    }
-    if (pivot != k) {
-      for (size_t c = 0; c < n; ++c) {
-        std::swap(lu(k, c), lu(pivot, c));
-      }
-      std::swap(perm[k], perm[pivot]);
-    }
-    for (size_t i = k + 1; i < n; ++i) {
-      lu(i, k) /= lu(k, k);
-      const double f = lu(i, k);
-      for (size_t c = k + 1; c < n; ++c) {
-        lu(i, c) -= f * lu(k, c);
-      }
-    }
-  }
-  // Solve L y = P b.
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[perm[i]];
-    for (size_t j = 0; j < i; ++j) {
-      sum -= lu(i, j) * y[j];
-    }
-    y[i] = sum;
-  }
-  // Solve U x = y.
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t j = ii + 1; j < n; ++j) {
-      sum -= lu(ii, j) * x[j];
-    }
-    x[ii] = sum / lu(ii, ii);
-  }
-  return x;
-}
-
 }  // namespace dspot

@@ -50,10 +50,6 @@ Status RegularizedLdltSolveInto(const Matrix& a, std::span<const double> b,
 StatusOr<std::vector<double>> QrLeastSquares(const Matrix& a,
                                              const std::vector<double>& b);
 
-/// Solves a general square system A x = b via partial-pivoting LU.
-StatusOr<std::vector<double>> LuSolve(const Matrix& a,
-                                      const std::vector<double>& b);
-
 }  // namespace dspot
 
 #endif  // DSPOT_LINALG_SOLVERS_H_

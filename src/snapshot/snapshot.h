@@ -18,13 +18,10 @@ namespace dspot {
 /// substrate for serving: fit once, save, then load to forecast,
 /// warm-start a refit, or absorb newly arrived ticks (see update.h).
 ///
-/// Two interchangeable backends share one *canonical payload*: the
-/// little-endian binary encoding of the model. The binary file stores
-/// that payload directly (magic + version + length + payload + CRC-32);
-/// the JSON file stores the same fields as human-readable JSON plus the
-/// CRC of the canonical payload. A JSON load re-encodes the parsed model
-/// canonically and compares checksums, so *both* backends detect
-/// corruption and agree bit for bit: load(binary) == load(json) exactly.
+/// One file format: the "DSPOTSNP" magic, a u32 version, the length of
+/// the *canonical payload* (the little-endian binary encoding of the
+/// model), the payload itself and its CRC-32. Identical models give
+/// byte-identical files on every host.
 
 /// Everything needed to resume serving a fitted model: the parameter set,
 /// the tensor's labels, the per-keyword normalization applied before
@@ -48,21 +45,14 @@ ModelSnapshot MakeSnapshot(const DspotResult& result,
                            const ActivityTensor& tensor,
                            const std::vector<ScaleInfo>& scales = {});
 
-enum class SnapshotFormat {
-  kBinary,  ///< "DSPOTSNP" magic, canonical payload, CRC-32 trailer
-  kJson,    ///< same fields as JSON; carries the canonical payload's CRC
-};
-
 /// Current (and only) payload format version.
 inline constexpr uint32_t kSnapshotVersion = 1;
 
-/// Writes `snapshot` to `path`. Binary files are byte-identical across
-/// hosts for identical models.
-Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
-                    SnapshotFormat format = SnapshotFormat::kBinary);
+/// Writes `snapshot` to `path`, replacing any previous file atomically.
+Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path);
 
-/// Reads a snapshot, sniffing the format from the leading bytes. Errors
-/// carry location context:
+/// Reads a snapshot written by SaveSnapshot. Errors carry location
+/// context:
 ///  * bad magic / not a snapshot        -> InvalidArgument
 ///  * unsupported (future) version      -> InvalidArgument, names both
 ///  * truncation, checksum mismatch,
@@ -70,12 +60,12 @@ Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
 /// A non-OK load never returns a partially decoded model.
 StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path);
 
-/// The canonical payload bytes of `snapshot` (exposed for tests and for
-/// the JSON backend's checksum; stable across hosts).
+/// The canonical payload bytes of `snapshot`: the part of the file the
+/// CRC-32 covers (exposed for tests; stable across hosts).
 std::vector<uint8_t> EncodeSnapshotPayload(const ModelSnapshot& snapshot);
 
 /// The complete binary-file bytes of `snapshot` — magic, version, length,
-/// payload, CRC-32 — i.e. exactly what SaveSnapshot(kBinary) writes. For
+/// payload, CRC-32 — i.e. exactly what SaveSnapshot writes. For
 /// callers that own the write path themselves (the serve registry writes
 /// cache spill files without per-file fsync; a crash merely loses a
 /// rebuildable cache entry).

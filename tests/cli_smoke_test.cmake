@@ -1,7 +1,9 @@
 # CLI smoke test, run via `cmake -P` from a ctest entry. Exercises the
-# strict numeric-flag parsing (rejections must fail with a usage error,
-# not mis-parse to zero) and the observability exports (--metrics-json /
-# --trace-out must produce valid-looking JSON with the core fit spans).
+# strict flag parsing (numeric rejections must fail with a usage error,
+# not mis-parse to zero; unknown flags must be rejected), the
+# observability exports (--metrics-json / --trace-out must produce
+# valid-looking JSON with the core fit spans), the model snapshot round
+# trip (fit-tensor --save-model, refit, update) and streaming replay.
 #
 # Expects:
 #   -DDSPOT_CLI=<path to the dspot_cli binary>
@@ -65,6 +67,16 @@ expect_usage_error("--flush-every: 0 must be"
 expect_usage_error("usage: dspot_cli stream"
                    "${DSPOT_CLI}" stream)
 
+# --- Unknown flags -----------------------------------------------------------
+# A removed flag or a typo must fail fast, not be silently ignored: without
+# the check, --model-json would quietly write a binary file under a .json
+# name and --thread would fall back to the default thread count.
+expect_usage_error("dspot_cli: unknown flag '--model-json'"
+                   "${DSPOT_CLI}" fit-tensor --input nofile.csv
+                   --save-model "${WORK_DIR}/m.json" --model-json)
+expect_usage_error("dspot_cli: unknown flag '--thread'"
+                   "${DSPOT_CLI}" fit --series nofile.csv --thread 2)
+
 # --- Generate + observed fit -------------------------------------------------
 expect_success("${DSPOT_CLI}" generate --scenario harry_potter
                --output "${tensor_csv}" --ticks 120 --locations 3)
@@ -94,6 +106,44 @@ foreach(needle "traceEvents" "global_fit.round" "local_fit.location"
     message(FATAL_ERROR "chrome trace lacks ${needle}")
   endif()
 endforeach()
+
+# --- Model snapshots ---------------------------------------------------------
+# The serving loop end to end: fit and save, warm refit from the saved
+# model, then absorb an appended window. Every save writes the binary
+# "DSPOTSNP" file, and every saved model must load again.
+set(snap_tensor "${WORK_DIR}/snap_tensor.csv")
+set(snap_extra "${WORK_DIR}/snap_extra.csv")
+set(model_snap "${WORK_DIR}/model.snap")
+set(refit_snap "${WORK_DIR}/refit.snap")
+set(update_snap "${WORK_DIR}/update.snap")
+file(REMOVE "${model_snap}" "${refit_snap}" "${update_snap}")
+expect_success("${DSPOT_CLI}" generate --scenario grammy --ticks 156
+               --locations 3 --output "${snap_tensor}")
+expect_success("${DSPOT_CLI}" fit-tensor --input "${snap_tensor}" --threads 2
+               --save-model "${model_snap}")
+expect_success("${DSPOT_CLI}" refit --model "${model_snap}"
+               --input "${snap_tensor}" --threads 2
+               --save-model "${refit_snap}")
+expect_success("${DSPOT_CLI}" generate --scenario grammy --ticks 26
+               --locations 3 --seed 9 --output "${snap_extra}")
+expect_success("${DSPOT_CLI}" update --model "${model_snap}"
+               --input "${snap_tensor}" --append "${snap_extra}" --threads 2
+               --save-model "${update_snap}")
+foreach(snap "${model_snap}" "${refit_snap}" "${update_snap}")
+  if(NOT EXISTS "${snap}")
+    message(FATAL_ERROR "--save-model left no snapshot at ${snap}")
+  endif()
+  file(READ "${snap}" magic LIMIT 8)
+  if(NOT magic STREQUAL "DSPOTSNP")
+    message(FATAL_ERROR "${snap} does not start with the DSPOTSNP magic")
+  endif()
+endforeach()
+# The re-saved models load again. The updated model spans 182 ticks, so it
+# is reloaded by the same update (the refit path never shrinks a model).
+expect_success("${DSPOT_CLI}" refit --model "${refit_snap}"
+               --input "${snap_tensor}" --threads 2)
+expect_success("${DSPOT_CLI}" update --model "${update_snap}"
+               --input "${snap_tensor}" --append "${snap_extra}" --threads 2)
 
 # --- Streaming replay --------------------------------------------------------
 # A small arrival-ordered event log: one keyword with a level + wiggle

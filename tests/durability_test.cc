@@ -278,7 +278,7 @@ TEST(WriterRetrofit, SnapshotSaveFailureKeepsPreviousFile) {
   snapshot.params.num_locations = 1;
   snapshot.params.global.resize(1);
   const std::string path = TempPath("retrofit_snapshot.dspot");
-  ASSERT_TRUE(SaveSnapshot(snapshot, path, SnapshotFormat::kBinary).ok());
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
   auto before = ReadFileBytes(path);
   ASSERT_TRUE(before.ok());
 
@@ -287,7 +287,7 @@ TEST(WriterRetrofit, SnapshotSaveFailureKeepsPreviousFile) {
   snapshot.params.num_keywords = 2;
   snapshot.params.global.resize(2);
   FaultInjector::Instance().ArmExact(FaultSite::kIoRenameFailure, 0);
-  const Status failed = SaveSnapshot(snapshot, path, SnapshotFormat::kBinary);
+  const Status failed = SaveSnapshot(snapshot, path);
   FaultInjector::Instance().Disarm();
   EXPECT_EQ(failed.code(), StatusCode::kIoError);
 

@@ -199,23 +199,6 @@ TEST(Solvers, QrRejectsRankDeficient) {
             StatusCode::kNumericalError);
 }
 
-TEST(Solvers, LuSolveGeneralSystem) {
-  Matrix a = Matrix::FromRows({{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}});
-  std::vector<double> x_true = {2.0, -1.0, 3.0};
-  std::vector<double> b = a * x_true;
-  auto x = LuSolve(a, b);
-  ASSERT_TRUE(x.ok()) << x.status().ToString();
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR((*x)[i], x_true[i], 1e-9);
-  }
-}
-
-TEST(Solvers, LuRejectsSingular) {
-  Matrix a = Matrix::FromRows({{1, 2}, {2, 4}});
-  EXPECT_EQ(LuSolve(a, {1.0, 2.0}).status().code(),
-            StatusCode::kNumericalError);
-}
-
 /// Property sweep: random SPD systems of several sizes are solved to high
 /// accuracy by both Cholesky and the regularized LDLT.
 class SpdSolveProperty : public ::testing::TestWithParam<size_t> {};

@@ -1,4 +1,4 @@
-// Model snapshots: bit-exact round-trips through both backends, the
+// Model snapshots: bit-exact round-trips through the binary file, the
 // warm-start refit path they feed, and the incremental UpdateFit built on
 // top. Serving correctness demands exactness, so the round-trip tests
 // compare canonical payload bytes (every double bit for bit), not
@@ -55,7 +55,10 @@ Fitted FitSmallTensor(size_t num_threads = 1) {
 
 TEST(Snapshot, BinaryRoundTripIsBitExact) {
   const Fitted fitted = FitSmallTensor();
-  const ModelSnapshot snapshot = MakeSnapshot(fitted.result, fitted.tensor);
+  ModelSnapshot snapshot = MakeSnapshot(fitted.result, fitted.tensor);
+  // Exercise the ScaleInfo field too, including a non-trivial factor.
+  snapshot.scales.resize(snapshot.keywords.size());
+  snapshot.scales[0].factor = 0.3725290298461914;  // not a power of two
   const std::string path = TempPath("roundtrip.snap");
   ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
   auto loaded = LoadSnapshot(path);
@@ -77,27 +80,7 @@ TEST(Snapshot, BinaryRoundTripIsBitExact) {
   }
 }
 
-TEST(Snapshot, JsonRoundTripIsBitExactAndAgreesWithBinary) {
-  const Fitted fitted = FitSmallTensor();
-  ModelSnapshot snapshot = MakeSnapshot(fitted.result, fitted.tensor);
-  // Exercise the ScaleInfo field too, including a non-trivial factor.
-  snapshot.scales.resize(snapshot.keywords.size());
-  snapshot.scales[0].factor = 0.3725290298461914;  // not a power of two
-  const std::string bin_path = TempPath("agree.snap");
-  const std::string json_path = TempPath("agree.json");
-  ASSERT_TRUE(SaveSnapshot(snapshot, bin_path).ok());
-  ASSERT_TRUE(
-      SaveSnapshot(snapshot, json_path, SnapshotFormat::kJson).ok());
-  auto from_bin = LoadSnapshot(bin_path);
-  auto from_json = LoadSnapshot(json_path);
-  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-  ASSERT_TRUE(from_json.ok()) << from_json.status().ToString();
-  const std::vector<uint8_t> want = EncodeSnapshotPayload(snapshot);
-  EXPECT_EQ(want, EncodeSnapshotPayload(*from_bin));
-  EXPECT_EQ(want, EncodeSnapshotPayload(*from_json));
-}
-
-TEST(Snapshot, JsonSurvivesNonFiniteAndSentinelValues) {
+TEST(Snapshot, BinarySurvivesNonFiniteAndSentinelValues) {
   ModelSnapshot snapshot;
   ModelParamSet& params = snapshot.params;
   params.num_keywords = 1;
@@ -107,17 +90,23 @@ TEST(Snapshot, JsonSurvivesNonFiniteAndSentinelValues) {
   params.global[0].growth_start = kNpos;  // disabled sentinel
   params.global[0].beta = 1e-310;         // subnormal
   params.global[0].i0 = std::numeric_limits<double>::infinity();
+  params.global[0].growth_rate = -std::numeric_limits<double>::infinity();
   snapshot.keywords = {"kw \"quoted\" \\ tab\t"};
   snapshot.locations = {"loc"};
   snapshot.global_rmse = {std::nan("")};
-  const std::string path = TempPath("nonfinite.json");
-  ASSERT_TRUE(SaveSnapshot(snapshot, path, SnapshotFormat::kJson).ok());
+  const std::string path = TempPath("nonfinite.snap");
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(EncodeSnapshotPayload(snapshot), EncodeSnapshotPayload(*loaded));
   EXPECT_EQ(loaded->params.global[0].growth_start, kNpos);
+  EXPECT_EQ(loaded->params.global[0].beta, 1e-310);
   EXPECT_TRUE(std::isinf(loaded->params.global[0].i0));
+  EXPECT_GT(loaded->params.global[0].i0, 0.0);
+  EXPECT_TRUE(std::isinf(loaded->params.global[0].growth_rate));
+  EXPECT_LT(loaded->params.global[0].growth_rate, 0.0);
   EXPECT_TRUE(std::isnan(loaded->global_rmse[0]));
+  EXPECT_EQ(loaded->keywords, snapshot.keywords);
 }
 
 TEST(Snapshot, FitIsThreadCountInvariantThroughSnapshots) {

@@ -8,8 +8,7 @@
 //   fit       --series F                  fit one sequence (CSV from
 //             [--forecast H]              SaveSeriesCsv / "tick,value")
 //             [--forecast-output F]
-//             [--save-model F]            write a model snapshot after the
-//             [--model-json]              fit (binary unless --model-json)
+//             [--save-model F]            save the fitted model snapshot
 //             [--threads T]               T >= 1; default: hardware conc.
 //             [--time-budget-ms MS]       deadline; partial fit on expiry
 //             [--skip-bad-rows]           tolerate malformed CSV rows
@@ -17,8 +16,7 @@
 //             [--trace-out F]             write a Chrome trace-event file
 //   fit-tensor --input F                  fit a full tensor (long-form CSV)
 //             [--outliers-for KEYWORD]
-//             [--save-model F]            write a model snapshot after the
-//             [--model-json]              fit (binary unless --model-json)
+//             [--save-model F]            save the fitted model snapshot
 //             [--threads T]               T >= 1; default: hardware conc.
 //             [--time-budget-ms MS]       deadline; partial fit on expiry
 //             [--skip-bad-keywords]       fit what fits, report the rest
@@ -29,13 +27,13 @@
 //             --series F | --input F      data, warm-starting GLOBALFIT
 //             [--cold]                    from the snapshot; --cold forces
 //             [--save-model F]            the full multi-start MDL search
-//             [--model-json]              for comparison
-//             [--threads T] [--time-budget-ms MS] [--skip-bad-rows]
+//             [--threads T]               for comparison
+//             [--time-budget-ms MS] [--skip-bad-rows]
 //             [--metrics-json F] [--trace-out F]
 //   update    --model F --input F         absorb newly appended ticks into
 //             [--append F]                a saved model: --input spans the
-//             [--save-model F]            original range (plus any new
-//             [--model-json]              ticks); --append concatenates a
+//             [--append-start TICK]       original range (plus any new
+//             [--save-model F]            ticks); --append concatenates a
 //             [--threads T]               second tensor's ticks after it.
 //             [--time-budget-ms MS]       Shock re-detection runs only for
 //             [--skip-bad-rows]           keywords whose appended window
@@ -63,7 +61,8 @@
 //
 // Flags accept both "--key value" and "--key=value". Numeric flags are
 // parsed strictly: empty values, trailing garbage ("12x"), and
-// out-of-range magnitudes are usage errors, never silently zero.
+// out-of-range magnitudes are usage errors, never silently zero. An
+// unknown flag is a usage error too, never silently ignored.
 //
 // Exit code 0 on success, 1 on any error (message on stderr). A fit cut
 // short by --time-budget-ms still exits 0: the partial model is usable
@@ -83,6 +82,7 @@
 #include "core/dspot.h"
 #include "durable/durable_engine.h"
 #include "durable/durable_file.h"
+#include "flags.h"
 #include "core/outliers.h"
 #include "core/report.h"
 #include "datagen/catalog.h"
@@ -98,57 +98,6 @@
 
 namespace dspot {
 namespace {
-
-/// Minimal flag parser: --key value and --key=value after the subcommand.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
-      std::string key = argv[i];
-      // "--key=value" carries its value in the same token.
-      const size_t eq = key.find('=');
-      if (key.rfind("--", 0) == 0 && eq != std::string::npos) {
-        const std::string value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        present_.push_back(key);
-        values_[key] = value;
-        i += 1;
-        continue;
-      }
-      present_.push_back(key);
-      // "--key value" pairs consume two tokens; a flag followed by another
-      // flag (or nothing) is boolean.
-      if (key.rfind("--", 0) == 0 && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[i + 1];
-        i += 2;
-      } else {
-        i += 1;
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool HasValue(const std::string& key) const {
-    return values_.find(key) != values_.end();
-  }
-
-  bool Has(const std::string& key) const {
-    for (const std::string& p : present_) {
-      if (p == key) return true;
-    }
-    return false;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> present_;
-};
 
 /// Strict integer flag: absent -> fallback; present -> the whole value
 /// must parse as an integer in [min_value, max_value], else a usage error
@@ -224,23 +173,19 @@ struct ObsExportRequest {
   }
 };
 
-/// Shared handling of --save-model / --model-json on the fitting
-/// commands: writes `snapshot` to the requested path (binary unless
-/// --model-json), or does nothing when the flag is absent.
+/// Shared handling of --save-model on the fitting commands: writes
+/// `snapshot` to the requested path, or does nothing when the flag is
+/// absent.
 int SaveModelIfRequested(const Flags& flags, const ModelSnapshot& snapshot) {
   const std::string path = flags.GetString("--save-model");
   if (path.empty()) {
     return 0;
   }
-  const bool json = flags.Has("--model-json");
-  const SnapshotFormat format =
-      json ? SnapshotFormat::kJson : SnapshotFormat::kBinary;
-  if (Status s = SaveSnapshot(snapshot, path, format); !s.ok()) {
+  if (Status s = SaveSnapshot(snapshot, path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s model snapshot to %s\n", json ? "JSON" : "binary",
-              path.c_str());
+  std::printf("wrote model snapshot to %s\n", path.c_str());
   return 0;
 }
 
@@ -350,7 +295,8 @@ int CmdFit(const Flags& flags) {
   if (input.empty()) {
     std::fprintf(stderr,
                  "usage: dspot_cli fit --series FILE [--forecast H] "
-                 "[--forecast-output FILE] [--threads T>=1] "
+                 "[--forecast-output FILE] [--save-model FILE] "
+                 "[--threads T>=1] "
                  "[--time-budget-ms MS>=0] [--skip-bad-rows] "
                  "[--metrics-json FILE] [--trace-out FILE]\n");
     return 1;
@@ -436,7 +382,8 @@ int CmdFitTensor(const Flags& flags) {
   if (input.empty()) {
     std::fprintf(stderr,
                  "usage: dspot_cli fit-tensor --input FILE "
-                 "[--outliers-for KEYWORD] [--threads T>=1] "
+                 "[--outliers-for KEYWORD] [--save-model FILE] "
+                 "[--threads T>=1] "
                  "[--time-budget-ms MS>=0] [--skip-bad-keywords] "
                  "[--skip-bad-rows] [--metrics-json FILE] "
                  "[--trace-out FILE]\n");
@@ -572,7 +519,7 @@ int CmdRefit(const Flags& flags) {
     std::fprintf(stderr,
                  "usage: dspot_cli refit --model FILE "
                  "(--series FILE | --input FILE) [--cold] "
-                 "[--save-model FILE] [--model-json] [--threads T>=1] "
+                 "[--save-model FILE] [--threads T>=1] "
                  "[--time-budget-ms MS>=0] [--skip-bad-rows] "
                  "[--metrics-json FILE] [--trace-out FILE]\n");
     return 1;
@@ -664,7 +611,7 @@ int CmdUpdate(const Flags& flags) {
     std::fprintf(stderr,
                  "usage: dspot_cli update --model FILE --input FILE "
                  "[--append FILE] [--append-start TICK] "
-                 "[--save-model FILE] [--model-json] "
+                 "[--save-model FILE] "
                  "[--threads T>=1] [--time-budget-ms MS>=0] "
                  "[--skip-bad-rows] [--metrics-json FILE] "
                  "[--trace-out FILE]\n");
@@ -1019,6 +966,21 @@ int Main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Flags flags(argc, argv, 2);
+  // One list for every subcommand: the union of the flags they read,
+  // including stream's test-only --kill-after.
+  if (!RejectUnknownFlags(
+          flags, "dspot_cli", "",
+          {"--append", "--append-start", "--cold", "--events",
+           "--flush-budget-ms", "--flush-every", "--forecast",
+           "--forecast-output", "--fsync-policy", "--horizon", "--input",
+           "--kill-after", "--load-state", "--locations", "--metrics-json",
+           "--model", "--origin", "--outliers", "--outliers-for", "--output",
+           "--recover", "--resolution", "--ring", "--save-model",
+           "--save-state", "--scenario", "--seed", "--series",
+           "--skip-bad-keywords", "--skip-bad-rows", "--threads", "--ticks",
+           "--time-budget-ms", "--trace-out", "--wal-dir"})) {
+    return 1;
+  }
   if (command == "scenarios") return CmdScenarios();
   if (command == "generate") return CmdGenerate(flags);
   if (command == "aggregate") return CmdAggregate(flags);

@@ -59,7 +59,6 @@
 #include <future>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -76,6 +75,7 @@
 #endif
 
 #include "common/parse_util.h"
+#include "flags.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
@@ -132,59 +132,6 @@ bool InstallShutdownHandlers() {
 #endif
   return true;
 }
-
-/// Minimal flag parser: --key value and --key=value (same contract as
-/// dspot_cli's).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
-      std::string key = argv[i];
-      const size_t eq = key.find('=');
-      if (key.rfind("--", 0) == 0 && eq != std::string::npos) {
-        const std::string value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        present_.push_back(key);
-        values_[key] = value;
-        i += 1;
-        continue;
-      }
-      present_.push_back(key);
-      if (key.rfind("--", 0) == 0 && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[i + 1];
-        i += 2;
-      } else {
-        i += 1;
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool HasValue(const std::string& key) const {
-    return values_.find(key) != values_.end();
-  }
-
-  bool Has(const std::string& key) const {
-    for (const std::string& p : present_) {
-      if (p == key) return true;
-    }
-    return false;
-  }
-
-  /// Every token seen on the command line (flags and positionals alike),
-  /// for strict unknown-flag rejection.
-  const std::vector<std::string>& Present() const { return present_; }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> present_;
-};
 
 /// Located usage error: "dspot_serve: --queue-cap: not an integer: '2x'".
 void FlagError(const char* key, const Status& status) {
@@ -759,44 +706,15 @@ int Connect(const Flags& flags) {
 #endif
 }
 
-/// A typo'd flag on a long-running server must fail fast at startup, not
-/// be silently ignored while the operator believes it took effect.
-bool RejectUnknownArguments(const Flags& flags) {
-  static const char* kKnown[] = {
-      "--help",         "--threads",      "--queue-cap",
-      "--shards",       "--deadline-ms",
-      "--max-resident-bytes",             "--spill-dir",
-      "--metrics-json", "--gen-requests", "--gen-keywords",
-      "--gen-ticks",    "--gen-horizon",  "--seed",
-      "--print-replies", "--tenant-quota", "--listen",
-      "--max-conns",    "--port-file",    "--connect",
-      "--tenant"};
-  for (const std::string& token : flags.Present()) {
-    if (token.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "dspot_serve: unexpected argument '%s'\n",
-                   token.c_str());
-      return false;
-    }
-    bool known = false;
-    for (const char* k : kKnown) {
-      if (token == k) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "dspot_serve: unknown flag '%s' (see --help)\n",
-                   token.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
   Flags flags(argc, argv, 1);
-  if (!RejectUnknownArguments(flags)) {
+  if (!RejectUnknownFlags(
+          flags, "dspot_serve", " (see --help)",
+          {"--help", "--threads", "--queue-cap", "--shards", "--deadline-ms",
+           "--max-resident-bytes", "--spill-dir", "--metrics-json",
+           "--gen-requests", "--gen-keywords", "--gen-ticks", "--gen-horizon",
+           "--seed", "--print-replies", "--tenant-quota", "--listen",
+           "--max-conns", "--port-file", "--connect", "--tenant"})) {
     return 1;
   }
   if (flags.Has("--help")) {
