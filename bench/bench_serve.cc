@@ -32,7 +32,6 @@
 #include "serve/serve_engine.h"
 #include "snapshot/codec.h"
 
-#ifdef __linux__
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -40,7 +39,6 @@
 #include <unistd.h>
 
 #include <thread>
-#endif
 
 namespace dspot {
 namespace {
@@ -255,8 +253,6 @@ RunResult RunServe(size_t num_keywords, size_t num_requests, size_t threads,
   return result;
 }
 
-#ifdef __linux__
-
 /// Blocking loopback socket client plumbing for the TCP legs.
 bool NetSendAll(int fd, const uint8_t* p, size_t n) {
   while (n > 0) {
@@ -306,13 +302,9 @@ int NetConnect(uint16_t port) {
 }
 
 bool NetSendFrame(int fd, const std::vector<uint8_t>& payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint8_t prefix[4] = {static_cast<uint8_t>(len & 0xFF),
-                             static_cast<uint8_t>((len >> 8) & 0xFF),
-                             static_cast<uint8_t>((len >> 16) & 0xFF),
-                             static_cast<uint8_t>((len >> 24) & 0xFF)};
-  return NetSendAll(fd, prefix, sizeof(prefix)) &&
-         NetSendAll(fd, payload.data(), payload.size());
+  std::vector<uint8_t> frame;
+  return AppendFrame(payload, &frame).ok() &&
+         NetSendAll(fd, frame.data(), frame.size());
 }
 
 struct NetRunResult {
@@ -592,8 +584,6 @@ FairnessResult RunFairness(const std::string& spill_dir) {
   return result;
 }
 
-#endif  // __linux__
-
 void PrintRun(size_t threads, const RunResult& r) {
   std::printf(
       "%2zu thread%s  %9.0f req/s | p50 %7.3f ms p99 %7.3f ms | forecast "
@@ -679,26 +669,22 @@ int Main(int argc, char** argv) {
               deterministic ? "bit-identical" : "DIVERGED",
               deterministic_16 ? "bit-identical" : "DIVERGED");
 
-  bool net_ok = true;
-  bool fairness_ok = true;
-#ifdef __linux__
   // Loopback TCP leg: the same workload through NetServer at 8 threads;
   // replies must be byte-identical to the engine-direct runs.
   const NetRunResult net =
       RunServeNet(num_keywords, num_requests, 8, budget, spill_dir);
   if (!net.ok) return 1;
-  const bool net_deterministic = net.reply_crc == runs[0].reply_crc;
-  net_ok = net_deterministic;
+  const bool net_ok = net.reply_crc == runs[0].reply_crc;
   std::printf(
       "\ntcp loopback  %9.0f req/s | p50 %7.3f ms p99 %7.3f ms | crc %08x "
       "(%s vs engine-direct)\n",
       net.qps, net.p50_ms, net.p99_ms, net.reply_crc,
-      net_deterministic ? "bit-identical" : "DIVERGED");
+      net_ok ? "bit-identical" : "DIVERGED");
 
   // Fairness leg: a flooding tenant against quota slicing.
   const FairnessResult fair = RunFairness(spill_dir);
   if (!fair.ok) return 1;
-  fairness_ok = fair.flood_shed > 0 && fair.fair_shed == 0 &&
+  const bool fairness_ok = fair.flood_shed > 0 && fair.fair_shed == 0 &&
                 fair.fair_p99_ms < 500.0;
   std::printf(
       "tenant flood  flood %" PRIu64 "/%" PRIu64 " shed, fair %" PRIu64
@@ -706,7 +692,6 @@ int Main(int argc, char** argv) {
       fair.flood_shed, fair.flood_total, fair.fair_shed, fair.fair_total,
       fair.fair_p99_ms, fairness_ok ? "quota holds" : "QUOTA FAILED");
   std::filesystem::remove_all(spill_dir);
-#endif
 
   bench::BenchJson json("serve");
   json.Set("num_keywords", static_cast<double>(num_keywords));
@@ -722,7 +707,6 @@ int Main(int argc, char** argv) {
   json.Set("threads", 8.0);
   json.Set("deterministic", deterministic ? 1.0 : 0.0);
   json.Set("deterministic_16", deterministic_16 ? 1.0 : 0.0);
-#ifdef __linux__
   json.Set("net_supported", 1.0);
   json.Set("net_qps", net.qps);
   json.Set("net_p50_ms", net.p50_ms);
@@ -735,9 +719,6 @@ int Main(int argc, char** argv) {
   json.Set("fair_p99_ms", fair.fair_p99_ms);
   json.Set("flood_qps", fair.flood_qps);
   json.Set("fairness_ok", fairness_ok ? 1.0 : 0.0);
-#else
-  json.Set("net_supported", 0.0);
-#endif
   for (size_t t = 0; t < 3; ++t) {
     AddRow(&json, kThreads[t], runs[t]);
   }

@@ -1,13 +1,12 @@
 #include "serve/net_server.h"
 
-#ifdef __linux__
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,22 +14,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "snapshot/codec.h"
 
 namespace dspot {
 
 namespace {
-
-/// epoll_event.data.u64 tokens for the two non-connection fds;
-/// connection ids start above them.
-constexpr uint64_t kListenerToken = 0;
-constexpr uint64_t kWakeToken = 1;
-constexpr uint64_t kFirstConnId = 2;
 
 std::string ErrnoText() { return std::strerror(errno); }
 
@@ -40,11 +31,16 @@ std::string PeerLabel(const sockaddr_in& addr) {
   return std::string(text) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
+bool SetNonBlockingCloexec(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL);
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0 &&
+         ::fcntl(fd, F_SETFD, FD_CLOEXEC) == 0;
+}
+
 }  // namespace
 
 NetServer::NetServer(ServeEngine* engine, const NetServerOptions& options)
     : engine_(engine), options_(options) {
-  next_conn_id_ = kFirstConnId;
   options_.max_conns = std::max<size_t>(size_t{1}, options_.max_conns);
   options_.max_write_buffer_bytes =
       std::max<size_t>(size_t{4096}, options_.max_write_buffer_bytes);
@@ -52,19 +48,34 @@ NetServer::NetServer(ServeEngine* engine, const NetServerOptions& options)
 
 NetServer::~NetServer() {
   for (auto& [id, conn] : conns_) {
-    ::close(conn.fd);
+    ::close(conn.in_fd);
+    if (conn.out_fd != conn.in_fd) ::close(conn.out_fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
 
+Status NetServer::OpenWakePipe() {
+  if (wake_fds_[0] >= 0) return Status::Ok();
+  if (::pipe(wake_fds_) != 0) {
+    return Status::IoError("net_server: pipe: " + ErrnoText());
+  }
+  if (!SetNonBlockingCloexec(wake_fds_[0]) ||
+      !SetNonBlockingCloexec(wake_fds_[1])) {
+    return Status::IoError("net_server: fcntl(wake pipe): " + ErrnoText());
+  }
+  return Status::Ok();
+}
+
 Status NetServer::Start() {
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  DSPOT_RETURN_IF_ERROR(OpenWakePipe());
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IoError("net_server: socket: " + ErrnoText());
+  }
+  if (!SetNonBlockingCloexec(listen_fd_)) {
+    return Status::IoError("net_server: fcntl(listener): " + ErrnoText());
   }
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -91,25 +102,35 @@ Status NetServer::Start() {
     return Status::IoError("net_server: getsockname: " + ErrnoText());
   }
   port_ = ntohs(bound.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    return Status::IoError("net_server: epoll_create1: " + ErrnoText());
-  }
-  if (::pipe2(wake_fds_, O_CLOEXEC | O_NONBLOCK) != 0) {
-    return Status::IoError("net_server: pipe2: " + ErrnoText());
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerToken;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-    return Status::IoError("net_server: epoll_ctl(listener): " + ErrnoText());
-  }
-  ev.data.u64 = kWakeToken;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) != 0) {
-    return Status::IoError("net_server: epoll_ctl(wake): " + ErrnoText());
-  }
   return Status::Ok();
+}
+
+Status NetServer::Adopt(int in_fd, int out_fd, std::string label) {
+  DSPOT_RETURN_IF_ERROR(OpenWakePipe());
+  struct stat out_stat {};
+  if (::fcntl(in_fd, F_GETFD) < 0 || ::fstat(out_fd, &out_stat) != 0) {
+    return Status::InvalidArgument("net_server: adopt " + label + ": " +
+                                   ErrnoText());
+  }
+  Conn& conn = AddConn(in_fd, out_fd, std::move(label));
+  conn.out_is_socket = S_ISSOCK(out_stat.st_mode);
+  conn.adopted = true;
+  return Status::Ok();
+}
+
+NetServer::Conn& NetServer::AddConn(int in_fd, int out_fd, std::string peer) {
+  const uint64_t id = next_conn_id_++;
+  auto [it, inserted] =
+      conns_.emplace(std::piecewise_construct, std::forward_as_tuple(id),
+                     std::forward_as_tuple(std::move(peer)));
+  Conn& conn = it->second;
+  conn.in_fd = in_fd;
+  conn.out_fd = out_fd;
+  conn.id = id;
+  DSPOT_COUNT("serve.net.accepted", 1);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.accepted;
+  return conn;
 }
 
 void NetServer::Wake() {
@@ -129,56 +150,82 @@ NetServerStats NetServer::stats() const {
   return stats_;
 }
 
+bool NetServer::WantsRead(const Conn& conn) const {
+  return !conn.read_closed && !conn.paused_read &&
+         conn.in_flight < engine_->queue_cap();
+}
+
 Status NetServer::Run() {
-  if (epoll_fd_ < 0) {
-    return Status::FailedPrecondition("net_server: Run before Start");
+  if (wake_fds_[0] < 0) {
+    return Status::FailedPrecondition("net_server: Run before Start or Adopt");
   }
   std::chrono::steady_clock::time_point drain_start;
-  epoll_event events[64];
+  std::vector<pollfd> fds;
+  std::vector<uint64_t> owners;  ///< conn id per fds entry
   for (;;) {
+    // The poll set is rebuilt from connection state every iteration:
+    // read interest while WantsRead, write interest while bytes are
+    // unflushed. A socket stays in the set with no interest so its
+    // POLLHUP/POLLERR still arrive; a read-only fd must not, or a
+    // closed pipe would spin on POLLHUP.
+    fds.assign({pollfd{wake_fds_[0], POLLIN, 0}});
+    if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    const size_t first_conn = fds.size();
+    owners.assign(first_conn, 0);
+    for (const auto& [id, conn] : conns_) {
+      const short in = WantsRead(conn) ? POLLIN : 0;
+      const short out = conn.unflushed() > 0 ? POLLOUT : 0;
+      if (conn.in_fd == conn.out_fd) {
+        fds.push_back(pollfd{conn.in_fd, static_cast<short>(in | out), 0});
+        owners.push_back(id);
+        continue;
+      }
+      if (in != 0) {
+        fds.push_back(pollfd{conn.in_fd, in, 0});
+        owners.push_back(id);
+      }
+      if (out != 0) {
+        fds.push_back(pollfd{conn.out_fd, out, 0});
+        owners.push_back(id);
+      }
+    }
     // During a drain, poll with a timeout so the drain deadline fires
     // even if no fd ever becomes ready again.
-    const int timeout_ms = draining_ ? 50 : -1;
-    const int n = ::epoll_wait(epoll_fd_, events,
-                               static_cast<int>(std::size(events)),
-                               timeout_ms);
+    const int n = ::poll(fds.data(), fds.size(), draining_ ? 50 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError("net_server: epoll_wait: " + ErrnoText());
+      return Status::IoError("net_server: poll: " + ErrnoText());
     }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t token = events[i].data.u64;
-      if (token == kWakeToken) {
-        uint8_t sink[256];
-        while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
-        }
-        continue;
+    if (fds[0].revents != 0) {
+      uint8_t sink[256];
+      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
       }
-      if (token == kListenerToken) {
-        AcceptReady();
-        continue;
-      }
-      // A token that no longer resolves is an event queued for a
-      // connection torn down earlier in this same batch — skip it.
-      auto it = conns_.find(token);
+    }
+    if (first_conn > 1 && (fds[1].revents & POLLIN) != 0) AcceptReady();
+    for (size_t i = first_conn; i < fds.size(); ++i) {
+      const short ev = fds[i].revents;
+      if (ev == 0) continue;
+      // An id that no longer resolves belongs to a connection torn down
+      // earlier in this same pass — skip it.
+      auto it = conns_.find(owners[i]);
       if (it == conns_.end()) continue;
       Conn& conn = it->second;
-      const uint32_t ev = events[i].events;
-      if (ev & EPOLLERR) {
-        Teardown(conn, Status::IoError("socket error (EPOLLERR)"), false);
+      const bool shared = conn.in_fd == conn.out_fd;
+      if ((ev & (POLLERR | POLLNVAL)) != 0) {
+        Teardown(conn, Status::IoError("poll error on fd"), false);
         continue;
       }
-      if (ev & EPOLLHUP) {
+      if ((ev & POLLHUP) != 0 && shared) {
         // Peer closed both directions: nothing we buffer can ever be
-        // delivered.
+        // delivered. On an fd we only read, POLLHUP is just EOF ahead.
         Teardown(conn, Status::Ok(), false);
         continue;
       }
-      if (ev & EPOLLOUT) {
+      if ((ev & POLLOUT) != 0) {
         if (!FlushWrites(conn)) continue;
         if (MaybeRetire(conn)) continue;
       }
-      if (ev & EPOLLIN) {
+      if ((ev & (POLLIN | POLLHUP)) != 0) {
         HandleReadable(conn);
       }
     }
@@ -187,7 +234,6 @@ Status NetServer::Run() {
       draining_ = true;
       drain_start = std::chrono::steady_clock::now();
       if (listen_fd_ >= 0) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         ::close(listen_fd_);
         listen_fd_ = -1;
       }
@@ -201,15 +247,14 @@ Status NetServer::Run() {
         if (it == conns_.end()) continue;
         Conn& conn = it->second;
         conn.read_closed = true;
-        UpdateInterest(conn);
         if (!FlushWrites(conn)) continue;
         MaybeRetire(conn);
       }
     }
+    if (listen_fd_ < 0 && conns_.empty()) {
+      return adopted_error_;
+    }
     if (draining_) {
-      if (conns_.empty()) {
-        return Status::Ok();
-      }
       const double waited_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - drain_start)
@@ -225,7 +270,7 @@ Status NetServer::Run() {
                    Status::DeadlineExceeded("drain timeout; force-closed"),
                    false);
         }
-        return Status::Ok();
+        return adopted_error_;
       }
     }
   }
@@ -236,8 +281,7 @@ void NetServer::AcceptReady() {
     sockaddr_in peer{};
     socklen_t peer_len = sizeof(peer);
     const int fd =
-        ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len,
-                  SOCK_NONBLOCK | SOCK_CLOEXEC);
+        ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -252,79 +296,68 @@ void NetServer::AcceptReady() {
       ++stats_.rejected_at_capacity;
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const uint64_t id = next_conn_id_++;
-    auto [it, inserted] = conns_.emplace(
-        std::piecewise_construct, std::forward_as_tuple(id),
-        std::forward_as_tuple(PeerLabel(peer)));
-    Conn& conn = it->second;
-    conn.fd = fd;
-    conn.id = id;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      std::fprintf(stderr, "dspot_serve: %s: epoll_ctl(add): %s\n",
-                   conn.peer.c_str(), ErrnoText().c_str());
+    if (!SetNonBlockingCloexec(fd)) {
+      std::fprintf(stderr, "dspot_serve: %s: fcntl: %s\n",
+                   PeerLabel(peer).c_str(), ErrnoText().c_str());
       ::close(fd);
-      conns_.erase(it);
       continue;
     }
-    DSPOT_COUNT("serve.net.accepted", 1);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.accepted;
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    AddConn(fd, fd, PeerLabel(peer));
   }
 }
 
 void NetServer::HandleReadable(Conn& conn) {
+  if (!WantsRead(conn)) return;
+  // One read per readiness: poll is level-triggered, and an adopted fd
+  // may be blocking, where a second read could stall the loop.
   uint8_t buf[65536];
-  for (;;) {
-    if (conn.paused_read || conn.read_closed) return;
-    const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      Teardown(conn, Status::IoError("read: " + ErrnoText()), false);
-      return;
-    }
-    if (n == 0) {
-      // Half-close: the client finished sending (shutdown(SHUT_WR)) and
-      // is now reading replies. Stop watching EPOLLIN; retire once every
-      // in-flight reply has flushed.
-      conn.read_closed = true;
-      UpdateInterest(conn);
-      MaybeRetire(conn);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.bytes_in += static_cast<uint64_t>(n);
-    }
-    conn.assembler.Append(buf, static_cast<size_t>(n));
-    std::vector<uint8_t> payload;
-    for (;;) {
-      StatusOr<bool> have = conn.assembler.Next(&payload);
-      if (!have.ok()) {
-        Teardown(conn, have.status(), true);
-        return;
-      }
-      if (!*have) break;
-      if (!HandleFrame(conn, payload)) return;
-    }
-    if (conn.unflushed() > options_.max_write_buffer_bytes &&
-        !conn.paused_read) {
-      // Backpressure: this client is not draining its replies, so stop
-      // feeding its requests into the engine. EPOLLOUT stays armed; the
-      // read side resumes once the buffer halves.
-      conn.paused_read = true;
-      UpdateInterest(conn);
-      DSPOT_COUNT("serve.net.backpressure_pauses", 1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.backpressure_pauses;
-      return;
-    }
+  const ssize_t n = ::read(conn.in_fd, buf, sizeof(buf));
+  if (n < 0) {
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
+    Teardown(conn, Status::IoError("read: " + ErrnoText()), false);
+    return;
   }
+  if (n == 0) {
+    // The client finished sending (EOF, or shutdown(SHUT_WR) on a
+    // socket) and is now reading replies; retire once every in-flight
+    // reply has flushed.
+    conn.read_closed = true;
+    conn.eof = true;
+    MaybeRetire(conn);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.bytes_in += static_cast<uint64_t>(n);
+  }
+  conn.assembler.Append(buf, static_cast<size_t>(n));
+  if (!SubmitFrames(conn)) return;
+  if (conn.unflushed() > options_.max_write_buffer_bytes &&
+      !conn.paused_read) {
+    // Backpressure: this client is not draining its replies, so stop
+    // feeding its requests into the engine. The output stays in the poll
+    // set; the read side resumes once the buffer halves.
+    conn.paused_read = true;
+    DSPOT_COUNT("serve.net.backpressure_pauses", 1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.backpressure_pauses;
+  }
+}
+
+bool NetServer::SubmitFrames(Conn& conn) {
+  std::vector<uint8_t> payload;
+  while (conn.in_flight < engine_->queue_cap()) {
+    StatusOr<bool> have = conn.assembler.Next(&payload);
+    if (!have.ok()) {
+      Teardown(conn, have.status(), true);
+      return false;
+    }
+    if (!*have) break;
+    if (!HandleFrame(conn, payload)) return false;
+  }
+  return true;
 }
 
 bool NetServer::HandleFrame(Conn& conn, const std::vector<uint8_t>& payload) {
@@ -413,49 +446,43 @@ void NetServer::ProcessCompletions() {
 
 bool NetServer::PumpReplies(Conn& conn) {
   // Replies go on the wire in REQUEST order per connection, regardless of
-  // the order the engine's per-keyword strands completed them — the wire
-  // contract matches the stdin/stdout pipe exactly.
+  // the order the engine's per-keyword strands completed them.
   uint64_t queued = 0;
   while (!conn.ready.empty() &&
          conn.ready.begin()->first == conn.next_write_seq) {
-    const std::vector<uint8_t> payload =
-        EncodeReplyPayload(conn.ready.begin()->second);
+    const Status appended =
+        AppendFrame(EncodeReplyPayload(conn.ready.begin()->second),
+                    &conn.wbuf);
     conn.ready.erase(conn.ready.begin());
     ++conn.next_write_seq;
     --conn.in_flight;
-    if (payload.size() > kServeMaxFrameBytes) {
+    if (!appended.ok()) {
       // Unreachable by the forecast-cap static_assert, but a frame no
       // reader could accept must never be emitted.
-      Teardown(conn,
-               Status::InvalidArgument(
-                   "conn " + conn.peer + ": reply payload " +
-                   std::to_string(payload.size()) + " bytes exceeds cap"),
-               false);
+      Teardown(conn, appended, false);
       return false;
     }
-    uint8_t prefix[4];
-    for (int i = 0; i < 4; ++i) {
-      prefix[i] = static_cast<uint8_t>((payload.size() >> (8 * i)) & 0xff);
-    }
-    conn.wbuf.insert(conn.wbuf.end(), prefix, prefix + 4);
-    conn.wbuf.insert(conn.wbuf.end(), payload.begin(), payload.end());
     ++queued;
   }
   if (queued > 0) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.replies += queued;
   }
+  // Replies leaving reopen the pacing window for frames already read.
+  if (!SubmitFrames(conn)) return false;
   if (!FlushWrites(conn)) return false;
   return !MaybeRetire(conn);
 }
 
 bool NetServer::FlushWrites(Conn& conn) {
   while (conn.wpos < conn.wbuf.size()) {
-    // send(MSG_NOSIGNAL), not write(): a peer that closed mid-reply must
+    // send(MSG_NOSIGNAL) on a socket: a peer that closed mid-reply must
     // surface as EPIPE on this connection, not SIGPIPE for the process.
-    const ssize_t n =
-        ::send(conn.fd, conn.wbuf.data() + conn.wpos,
-               conn.wbuf.size() - conn.wpos, MSG_NOSIGNAL);
+    const uint8_t* data = conn.wbuf.data() + conn.wpos;
+    const size_t size = conn.wbuf.size() - conn.wpos;
+    const ssize_t n = conn.out_is_socket
+                          ? ::send(conn.out_fd, data, size, MSG_NOSIGNAL)
+                          : ::write(conn.out_fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -474,54 +501,49 @@ bool NetServer::FlushWrites(Conn& conn) {
                     conn.wbuf.begin() + static_cast<ptrdiff_t>(conn.wpos));
     conn.wpos = 0;
   }
-  const bool need_out = conn.unflushed() > 0;
-  bool interest_changed = false;
-  if (need_out != conn.want_write) {
-    conn.want_write = need_out;
-    interest_changed = true;
-  }
-  if (conn.paused_read && !conn.read_closed &&
+  if (conn.paused_read &&
       conn.unflushed() < options_.max_write_buffer_bytes / 2) {
     conn.paused_read = false;
-    interest_changed = true;
-  }
-  if (interest_changed) {
-    UpdateInterest(conn);
   }
   return true;
 }
 
-void NetServer::UpdateInterest(Conn& conn) {
-  epoll_event ev{};
-  ev.events = 0;
-  if (!conn.read_closed && !conn.paused_read) ev.events |= EPOLLIN;
-  if (conn.want_write) ev.events |= EPOLLOUT;
-  ev.data.u64 = conn.id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
-}
-
 bool NetServer::MaybeRetire(Conn& conn) {
-  if (conn.read_closed && conn.in_flight == 0 && conn.ready.empty() &&
-      conn.unflushed() == 0) {
-    Teardown(conn, Status::Ok(), false);
-    return true;
+  if (!conn.read_closed || conn.in_flight != 0 || !conn.ready.empty() ||
+      conn.unflushed() != 0) {
+    return false;
   }
-  return false;
+  if (conn.eof && conn.assembler.buffered() != 0) {
+    // Every complete frame has been answered and flushed; what is left
+    // can never become a frame.
+    Teardown(conn,
+             Status::DataLoss("conn " + conn.peer + ": byte " +
+                              std::to_string(conn.assembler.stream_offset()) +
+                              ": " + std::to_string(conn.assembler.buffered()) +
+                              " trailing bytes form an incomplete frame"),
+             true);
+  } else {
+    Teardown(conn, Status::Ok(), false);
+  }
+  return true;
 }
 
 void NetServer::Teardown(Conn& conn, const Status& why, bool protocol_error) {
-  if (protocol_error) {
+  if (conn.adopted) {
+    // The adopter owns this stream and reports its error from Run().
+    if (!why.ok() && adopted_error_.ok()) adopted_error_ = why;
+  } else if (protocol_error) {
     // One hostile or desynchronized client costs exactly one connection;
     // the located error names the peer and the byte that broke.
     std::fprintf(stderr, "dspot_serve: %s: connection closed: %s\n",
                  conn.peer.c_str(), why.ToString().c_str());
-    DSPOT_COUNT("serve.net.desync_teardowns", 1);
   } else if (!why.ok()) {
     std::fprintf(stderr, "dspot_serve: %s: connection dropped: %s\n",
                  conn.peer.c_str(), why.ToString().c_str());
   }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
+  if (protocol_error) DSPOT_COUNT("serve.net.desync_teardowns", 1);
+  ::close(conn.in_fd);
+  if (conn.out_fd != conn.in_fd) ::close(conn.out_fd);
   const uint64_t id = conn.id;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -533,46 +555,3 @@ void NetServer::Teardown(Conn& conn, const Status& why, bool protocol_error) {
 }
 
 }  // namespace dspot
-
-#else  // !__linux__
-
-namespace dspot {
-
-// epoll is Linux-only; other platforms keep the stdin/stdout transport.
-
-NetServer::NetServer(ServeEngine* engine, const NetServerOptions& options)
-    : engine_(engine), options_(options) {}
-
-NetServer::~NetServer() = default;
-
-Status NetServer::Start() {
-  return Status::Unimplemented(
-      "net_server: the TCP transport requires Linux epoll");
-}
-
-Status NetServer::Run() {
-  return Status::Unimplemented(
-      "net_server: the TCP transport requires Linux epoll");
-}
-
-void NetServer::Shutdown() {}
-
-void NetServer::Wake() {}
-
-NetServerStats NetServer::stats() const { return NetServerStats{}; }
-
-void NetServer::AcceptReady() {}
-void NetServer::HandleReadable(Conn&) {}
-bool NetServer::HandleFrame(Conn&, const std::vector<uint8_t>&) {
-  return false;
-}
-void NetServer::ProcessCompletions() {}
-bool NetServer::PumpReplies(Conn&) { return false; }
-bool NetServer::FlushWrites(Conn&) { return false; }
-void NetServer::UpdateInterest(Conn&) {}
-bool NetServer::MaybeRetire(Conn&) { return false; }
-void NetServer::Teardown(Conn&, const Status&, bool) {}
-
-}  // namespace dspot
-
-#endif  // __linux__

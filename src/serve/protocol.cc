@@ -22,22 +22,10 @@ static_assert(kServeMaxForecastTicks * 8 + 4096 <= kServeMaxFrameBytes,
               "forecast cap exceeds the wire frame cap");
 
 Status WriteFrame(const std::vector<uint8_t>& payload, std::ostream& out) {
-  // Never emit a frame no reader will accept: a payload over the cap
-  // would be rejected as DataLoss on the far side (and a length over
-  // UINT32_MAX would silently truncate the prefix, desynchronizing the
-  // whole stream).
-  if (payload.size() > kServeMaxFrameBytes) {
-    return Status::InvalidArgument(
-        "serve frame: payload " + std::to_string(payload.size()) +
-        " bytes exceeds cap " + std::to_string(kServeMaxFrameBytes) +
-        "; frame not written");
-  }
-  ByteWriter prefix;
-  prefix.PutU32(static_cast<uint32_t>(payload.size()));
-  out.write(reinterpret_cast<const char*>(prefix.bytes().data()),
-            static_cast<std::streamsize>(prefix.size()));
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
+  std::vector<uint8_t> frame;
+  DSPOT_RETURN_IF_ERROR(AppendFrame(payload, &frame));
+  out.write(reinterpret_cast<const char*>(frame.data()),
+            static_cast<std::streamsize>(frame.size()));
   if (!out) {
     return Status::IoError("serve frame: short write");
   }
@@ -105,6 +93,25 @@ Status GetValues(ByteReader& r, std::vector<double>* values) {
 }
 
 }  // namespace
+
+Status AppendFrame(const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* out) {
+  // Never emit a frame no reader will accept: a payload over the cap
+  // would be rejected as DataLoss on the far side (and a length over
+  // UINT32_MAX would silently truncate the prefix, desynchronizing the
+  // whole stream).
+  if (payload.size() > kServeMaxFrameBytes) {
+    return Status::InvalidArgument(
+        "serve frame: payload " + std::to_string(payload.size()) +
+        " bytes exceeds cap " + std::to_string(kServeMaxFrameBytes) +
+        "; frame not written");
+  }
+  ByteWriter prefix;
+  prefix.PutU32(static_cast<uint32_t>(payload.size()));
+  out->insert(out->end(), prefix.bytes().begin(), prefix.bytes().end());
+  out->insert(out->end(), payload.begin(), payload.end());
+  return Status::Ok();
+}
 
 std::vector<uint8_t> EncodeRequestPayload(const ServeRequest& request) {
   ByteWriter w;

@@ -13,8 +13,8 @@
 namespace dspot {
 
 /// The dspot_serve wire format: length-prefixed frames over a byte
-/// stream (the CLI speaks it on stdin/stdout; tests speak it over
-/// stringstreams).
+/// stream (the CLI speaks it on stdin/stdout and over TCP; tests also
+/// speak it over stringstreams).
 ///
 /// One frame = a little-endian u32 payload length followed by that many
 /// payload bytes. The payload reuses the snapshot codec's primitives
@@ -32,10 +32,10 @@ namespace dspot {
 /// directly.
 
 /// Frame tags ("DSRQ" / "DSRP" / "DSRH" as little-endian u32). "DSRH" is
-/// the optional tenant handshake a TCP client may send as its FIRST
-/// frame: `"DSRH" version:u32 tenant:str`. It binds every later request
-/// on that connection to the named admission tenant; without it the
-/// connection serves under the default tenant "".
+/// the optional tenant handshake a client may send as its FIRST frame,
+/// on either transport: `"DSRH" version:u32 tenant:str`. It binds every
+/// later request on that connection to the named admission tenant;
+/// without it the connection serves under the default tenant "".
 inline constexpr uint32_t kServeRequestTag = 0x51525344;
 inline constexpr uint32_t kServeReplyTag = 0x50525344;
 inline constexpr uint32_t kServeHelloTag = 0x48525344;
@@ -51,6 +51,12 @@ inline constexpr size_t kServeMaxTenantBytes = 128;
 /// is rejected as DataLoss (a desynchronized or hostile stream would
 /// otherwise trigger a giant allocation).
 inline constexpr uint32_t kServeMaxFrameBytes = 64u << 20;
+
+/// Appends one frame (the LE u32 length prefix, then `payload`) to
+/// `*out`. InvalidArgument, with `*out` untouched, when the payload
+/// exceeds kServeMaxFrameBytes: no reader would accept that frame.
+Status AppendFrame(const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* out);
 
 /// Serializes one request/reply frame. IoError on stream failure.
 Status WriteRequestFrame(const ServeRequest& request, std::ostream& out);

@@ -171,6 +171,9 @@ class ServeEngine {
 
   ServeStats stats() const;
 
+  /// The admission queue bound (ServeOptions::queue_cap, at least 1).
+  size_t queue_cap() const { return options_.queue_cap; }
+
   /// Per-tenant admission counters, keyed by tenant name ("" = default).
   std::map<std::string, TenantCounters> tenant_stats() const;
 

@@ -1,5 +1,5 @@
 // The TCP transport: frame reassembly at hostile byte boundaries, the
-// tenant handshake codec, and the epoll server end-to-end over loopback
+// tenant handshake codec, and the poll server end-to-end over loopback
 // sockets — split writes, desync teardown isolation, connection caps,
 // and graceful drain. The transport must never let one bad connection
 // take down the process or another client's stream.
@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -22,12 +23,11 @@
 #include "serve/protocol.h"
 #include "serve/serve_engine.h"
 
-#ifdef __linux__
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace dspot {
 namespace {
@@ -300,8 +300,6 @@ TEST(ServeProtocol, HelloPayloadRoundTripsAndRejectsBadVersions) {
   EXPECT_FALSE(corrupt.ok());
 }
 
-#ifdef __linux__
-
 // ---------------------------------------------------------------------------
 // NetServer over loopback sockets
 
@@ -572,15 +570,10 @@ TEST(NetServer, ConnectionCapAcceptsThenCloses) {
   EXPECT_EQ(harness.server.stats().rejected_at_capacity, 1u);
 }
 
-TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
-  ServerHarness harness;
-  const int fd = ConnectTo(harness.server.port());
-  ASSERT_GE(fd, 0);
-
-  // A cold fit keeps the engine busy long enough for Shutdown() to race
-  // real in-flight work.
+/// A cold fit of a fresh keyword: tens of milliseconds of engine work.
+ServeRequest SlowFit(uint64_t id) {
   ServeRequest slow;
-  slow.id = 77;
+  slow.id = id;
   slow.op = ServeOp::kFit;
   slow.keyword = "fresh";
   slow.values.resize(256);
@@ -589,7 +582,17 @@ TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
         30.0 + 8.0 * std::sin(0.9 * static_cast<double>(t)) +
         (t >= 20 && t < 23 ? 40.0 : 0.0);
   }
-  const auto wire = FrameBytes(EncodeRequestPayload(slow));
+  return slow;
+}
+
+TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
+  ServerHarness harness;
+  const int fd = ConnectTo(harness.server.port());
+  ASSERT_GE(fd, 0);
+
+  // A cold fit keeps the engine busy long enough for Shutdown() to race
+  // real in-flight work.
+  const auto wire = FrameBytes(EncodeRequestPayload(SlowFit(77)));
   ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
   // Drain finishes ADMITTED work: wait until the transport has submitted
   // the request before asking for shutdown, or there is nothing in
@@ -611,7 +614,151 @@ TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
   ::close(fd);
 }
 
-#endif  // __linux__
+TEST(NetServer, IncompleteTailIsReportedAfterEveryCompleteFrame) {
+  ServerHarness harness;
+  const int fd = ConnectTo(harness.server.port());
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> stream;
+  for (uint64_t id = 1; id <= 2; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  const auto third = FrameBytes(EncodeRequestPayload(MakeRequest(3)));
+  stream.insert(stream.end(), third.begin(), third.begin() + 3);
+  ASSERT_TRUE(SendAll(fd, stream.data(), stream.size()));
+  ::shutdown(fd, SHUT_WR);
+
+  // Both complete frames are answered, then the tail closes the
+  // connection as a protocol error.
+  FrameAssembler assembler("client");
+  std::vector<uint8_t> payload;
+  for (uint64_t id = 1; id <= 2; ++id) {
+    ASSERT_TRUE(RecvFrame(fd, &assembler, &payload)) << "reply " << id;
+    auto reply = DecodeReplyPayload(payload.data(), payload.size(), "client");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->id, id);
+  }
+  EXPECT_TRUE(RecvEof(fd));
+  ::close(fd);
+
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (harness.server.stats().desync_teardowns == 1) break;
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(harness.server.stats().desync_teardowns, 1u);
+}
+
+TEST(NetServer, OneConnectionIsPacedToTheQueueCapNeverShed) {
+  ServeOptions serve_options;
+  serve_options.queue_cap = 2;
+  ServerHarness harness(NetServerOptions{}, serve_options);
+  const int fd = ConnectTo(harness.server.port());
+  ASSERT_GE(fd, 0);
+  // The fit holds the one worker while 40 forecasts pile up behind it:
+  // unpaced, the queue of 2 would shed most of them.
+  std::vector<uint8_t> stream = FrameBytes(EncodeRequestPayload(SlowFit(0)));
+  for (uint64_t id = 1; id <= 40; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(SendAll(fd, stream.data(), stream.size()));
+
+  FrameAssembler assembler("client");
+  std::vector<uint8_t> payload;
+  for (uint64_t id = 0; id <= 40; ++id) {
+    ASSERT_TRUE(RecvFrame(fd, &assembler, &payload)) << "reply " << id;
+    auto reply = DecodeReplyPayload(payload.data(), payload.size(), "client");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->id, id);
+    EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+  }
+  ::close(fd);
+  EXPECT_EQ(harness.engine.stats().admission_rejects, 0u);
+}
+
+/// 30 forecasts behind a tenant handshake: the stream every transport
+/// must answer with the same bytes.
+std::vector<uint8_t> TransportStream() {
+  std::vector<uint8_t> stream = FrameBytes(EncodeHelloPayload("team-x"));
+  for (uint64_t id = 1; id <= 30; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  return stream;
+}
+
+/// Serves `in_fd` as an adopted connection whose output is a pipe, and
+/// returns every byte written to it. Run() must return on its own at EOF.
+std::vector<uint8_t> ServeAdopted(int in_fd) {
+  ModelRegistry registry{RegistryOptions{}};
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_TRUE(registry.Put(MakeModel("kw" + std::to_string(i))).ok());
+  }
+  ServeEngine engine(&registry, ServeOptions{});
+  NetServer server(&engine, NetServerOptions{});
+  int out[2];
+  EXPECT_EQ(::pipe(out), 0);
+  std::vector<uint8_t> replies;
+  std::thread reader([&replies, fd = out[0]]() {
+    uint8_t chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      replies.insert(replies.end(), chunk, chunk + n);
+    }
+  });
+  Status status = server.Adopt(in_fd, out[1], "adopted");
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  status = server.Run();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  engine.Stop();
+  // The server closed out[1] when the connection ended.
+  reader.join();
+  ::close(out[0]);
+  EXPECT_EQ(server.stats().replies, 30u);
+  return replies;
+}
+
+TEST(NetServer, AdoptedPipeAndFileMatchLoopbackTcp) {
+  const std::vector<uint8_t> stream = TransportStream();
+  std::vector<uint8_t> tcp_replies;
+  {
+    ServerHarness harness;
+    const int fd = ConnectTo(harness.server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendAll(fd, stream.data(), stream.size()));
+    ::shutdown(fd, SHUT_WR);
+    uint8_t chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      tcp_replies.insert(tcp_replies.end(), chunk, chunk + n);
+    }
+    ::close(fd);
+  }
+  ASSERT_FALSE(tcp_replies.empty());
+
+  // A pipe whose writer has closed: POLLHUP must read to EOF, not drop
+  // the buffered frames.
+  int in[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_LT(stream.size(), 4096u);  // fits the pipe buffer unread
+  ASSERT_EQ(::write(in[1], stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  ::close(in[1]);
+  EXPECT_EQ(ServeAdopted(in[0]), tcp_replies);
+
+  // A regular file, as when stdin is redirected from one.
+  const std::string path =
+      ::testing::TempDir() + "net_server_adopt_" +
+      std::to_string(static_cast<long long>(::getpid())) + ".bin";
+  FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(stream.data(), 1, stream.size(), file), stream.size());
+  std::fclose(file);
+  const int file_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(file_fd, 0);
+  EXPECT_EQ(ServeAdopted(file_fd), tcp_replies);
+  std::remove(path.c_str());
+}
 
 }  // namespace
 }  // namespace dspot

@@ -3,7 +3,10 @@
 # not mis-parse to zero) and the full stdin/stdout protocol path: generate
 # a deterministic request stream, serve it at 1 and at 8 worker threads,
 # and require the reply bytes to be identical — the CLI-level face of the
-# engine's determinism contract.
+# engine's determinism contract. The same bytes must come back with a
+# queue cap far below the stream's depth (one connection is paced, never
+# shed) and through a pipe; a stream cut mid-frame must answer every
+# complete frame before its located error.
 #
 # Expects:
 #   -DDSPOT_SERVE=<path to the dspot_serve binary>
@@ -92,6 +95,70 @@ if(NOT same EQUAL 0)
   message(FATAL_ERROR
           "replies diverge between 1 and 8 worker threads — the serve "
           "determinism contract is broken at the CLI level")
+endif()
+
+# Every reply file below must equal replies_1.bin byte for byte.
+function(expect_same_replies replies_file what)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          "${WORK_DIR}/replies_1.bin" "${replies_file}"
+                  RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR "replies ${what} differ from the 1-thread replies")
+  endif()
+endfunction()
+
+# --- One connection is paced to the queue cap, never shed -------------------
+execute_process(COMMAND "${DSPOT_SERVE}" --queue-cap 4
+                        --spill-dir "${WORK_DIR}/spill_cap4"
+                INPUT_FILE "${requests_bin}"
+                OUTPUT_FILE "${WORK_DIR}/replies_cap4.bin"
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve with --queue-cap 4 failed: ${err}")
+endif()
+expect_same_replies("${WORK_DIR}/replies_cap4.bin" "with --queue-cap 4")
+
+# --- A pipe on stdin: its POLLHUP reads to EOF ------------------------------
+execute_process(COMMAND cat "${requests_bin}"
+                COMMAND "${DSPOT_SERVE}" --spill-dir "${WORK_DIR}/spill_pipe"
+                OUTPUT_FILE "${WORK_DIR}/replies_pipe.bin"
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve from a pipe failed: ${err}")
+endif()
+expect_same_replies("${WORK_DIR}/replies_pipe.bin" "from a pipe")
+
+# --- A stream cut mid-frame: every complete frame is answered first ---------
+math(EXPR cut_size "${requests_size} - 5")
+execute_process(COMMAND head -c ${cut_size} "${requests_bin}"
+                OUTPUT_FILE "${WORK_DIR}/requests_cut.bin"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot cut ${requests_bin}")
+endif()
+execute_process(COMMAND "${DSPOT_SERVE}" --spill-dir "${WORK_DIR}/spill_cut"
+                INPUT_FILE "${WORK_DIR}/requests_cut.bin"
+                OUTPUT_FILE "${WORK_DIR}/replies_cut.bin"
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "a stream cut mid-frame was served with exit 0")
+endif()
+if(NOT err MATCHES
+   "byte [0-9]+: [0-9]+ trailing bytes form an incomplete frame")
+  message(FATAL_ERROR "cut stream: expected a located tail error, got:\n${err}")
+endif()
+execute_process(COMMAND "${DSPOT_SERVE}" --print-replies
+                INPUT_FILE "${WORK_DIR}/replies_cut.bin"
+                OUTPUT_VARIABLE decoded
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT decoded MATCHES "total replies: 39\n")
+  message(FATAL_ERROR
+          "cut stream: want the 39 complete frames answered, got:\n"
+          "${decoded}${err}")
 endif()
 
 # --- Reply decoder ----------------------------------------------------------

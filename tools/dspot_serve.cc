@@ -1,18 +1,21 @@
 // dspot_serve — the DSPOT model server.
 //
 // Speaks the length-prefixed frame protocol of src/serve/protocol.h on
-// stdin/stdout: each request frame is admitted into a bounded queue,
-// run by a worker as soon as no earlier request of its keyword is still
-// executing (per-keyword strands), and answered with one reply frame IN
-// ADMISSION ORDER. Replies are a pure function of the request sequence —
-// bit-identical at any --threads setting — as long as a --spill-dir is
-// configured (so LRU evictions reload exactly) and deadlines are off.
+// stdin/stdout or over TCP: each request frame is admitted into a bounded
+// queue, run by a worker as soon as no earlier request of its keyword is
+// still executing (per-keyword strands), and answered with one reply
+// frame IN ADMISSION ORDER. Replies are a pure function of the request
+// sequence — bit-identical at any --threads setting — as long as a
+// --spill-dir is configured (so LRU evictions reload exactly) and
+// deadlines are off.
 //
 // Modes:
 //   (default)          serve: request frames on stdin -> replies on stdout
 //     [--threads T]              worker threads (default 1; 0 = hardware)
 //     [--queue-cap N]            admission bound; overflow sheds the
 //                                oldest request with ResourceExhausted
+//                                (one connection alone is paced to it,
+//                                never shed)
 //     [--tenant-quota N]         per-tenant queue slots (0 = no slicing);
 //                                a flooding tenant sheds only itself
 //     [--deadline-ms MS]         default per-request budget (0 = none)
@@ -20,8 +23,8 @@
 //     [--spill-dir D]            snapshot spill directory (created)
 //     [--shards N]               registry shards (default 8)
 //     [--metrics-json F]         write an obs metrics snapshot on exit
-//   --listen PORT      serve the same frame protocol over TCP (epoll event
-//                      loop on 127.0.0.1; 0 = ephemeral port) instead of
+//   --listen PORT      serve the same frame protocol over TCP on
+//                      127.0.0.1 (0 = ephemeral port) instead of
 //                      stdin/stdout
 //     [--max-conns N]            connection cap (default 256)
 //     [--port-file F]            write the bound port to F (for scripts
@@ -34,10 +37,14 @@
 //     [--gen-keywords K] [--gen-ticks T] [--gen-horizon H] [--seed S]
 //   --print-replies    decode reply frames on stdin to readable text
 //
-// SIGINT/SIGTERM drain gracefully in both serve modes: stdin mode stops
-// reading, answers every in-flight request and flushes stdout; TCP mode
-// stops accepting/reading, flushes in-flight replies to every connection.
-// Either way --metrics-json is still written and the exit code is 0.
+// Both serve modes run one NetServer event loop: stdin/stdout is one
+// connection of it, TCP clients are others, and both speak the same
+// protocol, the optional DSRH tenant handshake included. An incomplete
+// frame at the end of stdin is a located error (exit 1) reported after
+// every complete frame before it has been answered. SIGINT/SIGTERM drain
+// gracefully: stop accepting and reading, answer every admitted request,
+// flush the replies; --metrics-json is still written and the exit code
+// is 0.
 //
 // Numeric flags parse strictly (see src/common/parse_util.h): empty
 // values, trailing garbage and unknown suffixes are usage errors naming
@@ -53,10 +60,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -64,15 +69,11 @@
 #include <utility>
 #include <vector>
 
-#ifndef _WIN32
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "common/parse_util.h"
 #include "flags.h"
@@ -86,13 +87,11 @@
 namespace dspot {
 namespace {
 
-/// Signal plumbing shared by both serve transports. The handler does only
-/// async-signal-safe work: store the signal number, poke the net server's
-/// wake pipe (an atomic store + a write), and write to the self-pipe the
-/// stdin pump polls alongside fd 0.
+/// Signal plumbing. The handler does only async-signal-safe work: store
+/// the signal number and ask the net server to drain (an atomic store +
+/// a pipe write).
 std::sig_atomic_t volatile g_signal = 0;
 std::atomic<NetServer*> g_net_server{nullptr};
-int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void HandleShutdownSignal(int sig) {
   g_signal = sig;
@@ -100,36 +99,19 @@ extern "C" void HandleShutdownSignal(int sig) {
   if (server != nullptr) {
     server->Shutdown();
   }
-#ifndef _WIN32
-  if (g_signal_pipe[1] >= 0) {
-    const uint8_t byte = 0;
-    [[maybe_unused]] ssize_t ignored = ::write(g_signal_pipe[1], &byte, 1);
-  }
-#endif
 }
 
 bool InstallShutdownHandlers() {
-#ifndef _WIN32
-  if (::pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "dspot_serve: signal pipe: %s\n",
-                 std::strerror(errno));
-    return false;
-  }
-  for (int fd : g_signal_pipe) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  }
   struct sigaction action{};
   action.sa_handler = HandleShutdownSignal;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: poll() must return on the signal
+  action.sa_flags = 0;
   if (::sigaction(SIGINT, &action, nullptr) != 0 ||
       ::sigaction(SIGTERM, &action, nullptr) != 0) {
     std::fprintf(stderr, "dspot_serve: sigaction: %s\n",
                  std::strerror(errno));
     return false;
   }
-#endif
   return true;
 }
 
@@ -328,101 +310,6 @@ int PrintReplies() {
   return 0;
 }
 
-/// The stdin/stdout pump: poll {stdin, signal pipe}, reassemble frames
-/// through FrameAssembler, submit, answer in admission order with a
-/// bounded in-flight window. Returns 0 on clean EOF OR a graceful
-/// signal-driven drain, 1 on a transport error.
-int PumpStdio(ServeEngine& engine, size_t queue_cap) {
-#ifdef _WIN32
-  std::fprintf(stderr, "dspot_serve: stdio pump requires POSIX fds\n");
-  return 1;
-#else
-  // The in-flight window is bounded so a huge request file cannot hold
-  // every reply in memory at once.
-  const size_t kMaxInFlight = std::max<size_t>(queue_cap, size_t{256});
-  std::deque<std::future<ServeReply>> in_flight;
-  auto drain_one = [&in_flight]() -> Status {
-    ServeReply reply = in_flight.front().get();
-    in_flight.pop_front();
-    return WriteReplyFrame(reply, std::cout);
-  };
-  FrameAssembler assembler("stdin");
-  std::vector<uint8_t> chunk(size_t{64} << 10);
-  std::vector<uint8_t> payload;
-  bool eof = false;
-  while (!eof && g_signal == 0) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "dspot_serve: poll: %s\n", std::strerror(errno));
-      return 1;
-    }
-    if (fds[1].revents != 0 || g_signal != 0) break;
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t n = ::read(STDIN_FILENO, chunk.data(), chunk.size());
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      std::fprintf(stderr, "dspot_serve: stdin: %s\n", std::strerror(errno));
-      return 1;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    assembler.Append(chunk.data(), static_cast<size_t>(n));
-    for (;;) {
-      StatusOr<bool> have = assembler.Next(&payload);
-      if (!have.ok()) {
-        std::fprintf(stderr, "dspot_serve: %s\n",
-                     have.status().ToString().c_str());
-        return 1;
-      }
-      if (!*have) break;
-      StatusOr<ServeRequest> request =
-          DecodeRequestPayload(payload.data(), payload.size(), "stdin");
-      if (!request.ok()) {
-        std::fprintf(stderr, "dspot_serve: %s\n",
-                     request.status().ToString().c_str());
-        return 1;
-      }
-      in_flight.push_back(engine.Submit(std::move(*request)));
-      while (in_flight.size() >= kMaxInFlight) {
-        Status status = drain_one();
-        if (!status.ok()) {
-          std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-          return 1;
-        }
-      }
-    }
-  }
-  if (eof && assembler.buffered() != 0) {
-    std::fprintf(stderr,
-                 "dspot_serve: stdin: byte %" PRIu64
-                 ": %zu trailing bytes form an incomplete frame\n",
-                 assembler.stream_offset(), assembler.buffered());
-    return 1;
-  }
-  // Drain: every admitted request still gets its reply — a signal must
-  // not drop in-flight work on the floor.
-  while (!in_flight.empty()) {
-    Status status = drain_one();
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  std::cout.flush();
-  if (g_signal != 0) {
-    std::fprintf(stderr,
-                 "dspot_serve: caught signal %d; drained in-flight replies "
-                 "and shut down\n",
-                 static_cast<int>(g_signal));
-  }
-  return std::cout ? 0 : 1;
-#endif
-}
-
 int Serve(const Flags& flags) {
   int64_t threads = 0;
   int64_t queue_cap = 0;
@@ -474,19 +361,25 @@ int Serve(const Flags& flags) {
   serve_options.tenant_quota = static_cast<size_t>(tenant_quota);
   ServeEngine engine(&registry, serve_options);
 
-  int exit_code = 0;
-  if (flags.Has("--listen")) {
-    NetServerOptions net_options;
-    net_options.port = static_cast<uint16_t>(listen_port);
-    net_options.max_conns = static_cast<size_t>(max_conns);
-    NetServer server(&engine, net_options);
-    Status status = server.Start();
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: --listen: %s\n",
-                   status.ToString().c_str());
-      engine.Stop();
-      return 1;
-    }
+  const bool listen = flags.Has("--listen");
+  NetServerOptions net_options;
+  net_options.port = static_cast<uint16_t>(listen_port);
+  net_options.max_conns = static_cast<size_t>(max_conns);
+  if (!listen) {
+    // stdout carries the whole answer: a drain waits for every admitted
+    // request instead of force-closing the stream.
+    net_options.drain_timeout_ms = std::numeric_limits<double>::infinity();
+  }
+  NetServer server(&engine, net_options);
+  Status status = listen ? server.Start()
+                         : server.Adopt(STDIN_FILENO, STDOUT_FILENO, "stdin");
+  if (!status.ok()) {
+    std::fprintf(stderr, "dspot_serve: %s%s\n", listen ? "--listen: " : "",
+                 status.ToString().c_str());
+    engine.Stop();
+    return 1;
+  }
+  if (listen) {
     // Scripts that pass --listen 0 read the kernel-chosen port here.
     const std::string port_file = flags.GetString("--port-file");
     if (!port_file.empty()) {
@@ -503,36 +396,34 @@ int Serve(const Flags& flags) {
     std::fprintf(stderr, "dspot_serve: listening on %s:%u\n",
                  net_options.bind_address.c_str(),
                  static_cast<unsigned>(server.port()));
-    g_net_server.store(&server, std::memory_order_release);
-    if (g_signal != 0) {
-      server.Shutdown();  // the signal raced Start(); drain immediately
-    }
-    status = server.Run();
-    g_net_server.store(nullptr, std::memory_order_release);
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-      exit_code = 1;
-    }
-    // Engine callbacks reference the server: Stop() must drain them
-    // before `server` leaves scope.
-    engine.Stop();
-    const NetServerStats net = server.stats();
+  }
+  g_net_server.store(&server, std::memory_order_release);
+  if (g_signal != 0) {
+    server.Shutdown();  // the signal raced setup; drain immediately
+  }
+  status = server.Run();
+  g_net_server.store(nullptr, std::memory_order_release);
+  int exit_code = 0;
+  if (!status.ok()) {
+    std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+    exit_code = 1;
+  }
+  // Engine callbacks reference the server: Stop() must drain them
+  // before `server` leaves scope.
+  engine.Stop();
+  const NetServerStats net = server.stats();
+  std::fprintf(stderr,
+               "dspot_serve: net: %" PRIu64 " conns (%" PRIu64
+               " over cap, %" PRIu64 " desync teardowns), %" PRIu64
+               " requests in / %" PRIu64 " replies out, %" PRIu64
+               " B in / %" PRIu64 " B out\n",
+               net.accepted, net.rejected_at_capacity, net.desync_teardowns,
+               net.requests, net.replies, net.bytes_in, net.bytes_out);
+  if (g_signal != 0) {
     std::fprintf(stderr,
-                 "dspot_serve: tcp: %" PRIu64 " conns (%" PRIu64
-                 " over cap, %" PRIu64 " desync teardowns), %" PRIu64
-                 " requests in / %" PRIu64 " replies out, %" PRIu64
-                 " B in / %" PRIu64 " B out\n",
-                 net.accepted, net.rejected_at_capacity, net.desync_teardowns,
-                 net.requests, net.replies, net.bytes_in, net.bytes_out);
-    if (g_signal != 0) {
-      std::fprintf(stderr,
-                   "dspot_serve: caught signal %d; drained connections and "
-                   "shut down\n",
-                   static_cast<int>(g_signal));
-    }
-  } else {
-    exit_code = PumpStdio(engine, static_cast<size_t>(queue_cap));
-    engine.Stop();
+                 "dspot_serve: caught signal %d; drained in-flight replies "
+                 "and shut down\n",
+                 static_cast<int>(g_signal));
   }
 
   const ServeStats stats = engine.stats();
@@ -558,7 +449,6 @@ int Serve(const Flags& flags) {
   return exit_code;
 }
 
-#ifndef _WIN32
 /// write()s all of `data` to `fd` (MSG_NOSIGNAL when it is a socket, so a
 /// dead peer surfaces as EPIPE instead of killing the process).
 bool SendAll(int fd, const void* data, size_t size, bool is_socket) {
@@ -575,17 +465,12 @@ bool SendAll(int fd, const void* data, size_t size, bool is_socket) {
   }
   return true;
 }
-#endif
 
 /// --connect HOST:PORT — a transparent frame pipe: stdin bytes go to the
 /// server verbatim, server bytes come back on stdout verbatim (so replies
 /// stay byte-comparable against stdin-mode output), with an optional
 /// tenant handshake sent first.
 int Connect(const Flags& flags) {
-#ifdef _WIN32
-  std::fprintf(stderr, "dspot_serve: --connect requires POSIX sockets\n");
-  return 1;
-#else
   const std::string target = flags.GetString("--connect");
   if (target.empty()) {
     std::fprintf(stderr, "dspot_serve: --connect: requires HOST:PORT\n");
@@ -641,15 +526,9 @@ int Connect(const Flags& flags) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   if (!tenant.empty()) {
-    const std::vector<uint8_t> payload = EncodeHelloPayload(tenant);
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    const uint8_t prefix[4] = {
-        static_cast<uint8_t>(len & 0xFF),
-        static_cast<uint8_t>((len >> 8) & 0xFF),
-        static_cast<uint8_t>((len >> 16) & 0xFF),
-        static_cast<uint8_t>((len >> 24) & 0xFF)};
-    if (!SendAll(fd, prefix, sizeof(prefix), /*is_socket=*/true) ||
-        !SendAll(fd, payload.data(), payload.size(), /*is_socket=*/true)) {
+    std::vector<uint8_t> hello;
+    if (!AppendFrame(EncodeHelloPayload(tenant), &hello).ok() ||
+        !SendAll(fd, hello.data(), hello.size(), /*is_socket=*/true)) {
       std::fprintf(stderr, "dspot_serve: handshake send: %s\n",
                    std::strerror(errno));
       ::close(fd);
@@ -703,7 +582,6 @@ int Connect(const Flags& flags) {
   reader.join();
   ::close(fd);
   return (write_ok && !reader_failed.load(std::memory_order_relaxed)) ? 0 : 1;
-#endif
 }
 
 int Main(int argc, char** argv) {
