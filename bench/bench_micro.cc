@@ -241,7 +241,7 @@ void BM_FitDspotSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_FitDspotSmall)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
-void BM_CholeskySolve(benchmark::State& state) {
+void BM_RegularizedLdltSolve(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Matrix a(n, n);
   for (size_t i = 0; i < n; ++i) {
@@ -251,10 +251,10 @@ void BM_CholeskySolve(benchmark::State& state) {
   }
   std::vector<double> b(n, 1.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CholeskySolve(a, b));
+    benchmark::DoNotOptimize(RegularizedLdltSolve(a, b));
   }
 }
-BENCHMARK(BM_CholeskySolve)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_RegularizedLdltSolve)->Arg(8)->Arg(32)->Arg(128);
 
 Series SpikyFixture(size_t n) {
   Series s(n);

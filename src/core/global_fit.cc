@@ -38,15 +38,18 @@ struct FitState {
   GuardContext guard;
   /// Aggregated health for the whole alternation. Probe copies share the
   /// pointer on purpose: restarts spent on rejected candidates are still
-  /// work the fit performed.
+  /// work the fit performed. Shock candidates, which run concurrently, each
+  /// point at their own FitHealth and are folded in by TryAddShock.
   FitHealth* health = nullptr;
 };
 
-/// Per-keyword scratch threaded through every helper below: the schedule
-/// cache, the LM workspace, and the simulation / residual-index buffers.
-/// One instance per FitGlobalSequence call (and hence per ParallelMap task
-/// in GlobalFit), so the alternation loop stays allocation-free once warm
-/// without sharing mutable state across threads.
+/// Scratch threaded through every helper below: the schedule cache, the LM
+/// workspace, and the simulation / residual-index buffers. One instance per
+/// FitGlobalSequence call (and hence per keyword task in GlobalFit), plus
+/// one per block of shock candidates in TryAddShock, so the alternation
+/// loop stays allocation-free once warm without sharing mutable state
+/// across threads. Nothing in it changes values: the cache is keyed
+/// exactly and the buffers are resized per use.
 struct FitScratch {
   ScheduleCache schedules;
   LmWorkspace lm;
@@ -340,6 +343,81 @@ Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
   return best;
 }
 
+/// One shock candidate judged from the incumbent state: the placed and
+/// jointly refit probe, its MDL cost and RMSE, and the health of its own LM
+/// solves. Candidates are evaluated concurrently, so each keeps its own
+/// FitHealth rather than writing through the incumbent's pointer.
+struct CandidateFit {
+  FitState probe;
+  double cost = 0.0;
+  double rmse = 0.0;
+  FitHealth health;
+};
+
+/// Places `candidate` against the incumbent, fits its strengths, and runs
+/// the joint refit that precedes the MDL verdict. Reads `state` only, so
+/// candidates of one pass are independent of each other.
+StatusOr<CandidateFit> FitShockCandidate(const FitState& state,
+                                         const Shock& candidate,
+                                         const GlobalFitOptions& options,
+                                         FitScratch* scratch) {
+  FitHealth health;
+  FitState probe = state;
+  probe.health = &health;
+  probe.shocks.push_back(RefineShockPlacement(
+      state, candidate, options.max_shock_strength, scratch));
+  FitShockStrengths(&probe, probe.shocks.size() - 1,
+                    options.max_shock_strength, scratch);
+  // Joint refinement before the MDL verdict: the incumbent base was fit
+  // with this spike mass unexplained, so judge the candidate only after
+  // base and strengths are refit *together*. Shock-free optima often sit
+  // in degenerate basins (e.g. a slow-ramp fit with tiny beta/delta where
+  // no eps(t) can produce a spike), and neither a warm base refit (stays
+  // in the basin) nor a plain multi-start (the basin wins as long as the
+  // strengths are zero) escapes — so each start gets a mini-EM: base LM,
+  // strength fit, base LM again.
+  const double peak = probe.peak;
+  const std::vector<KeywordGlobalParams> seeds = [&] {
+    std::vector<KeywordGlobalParams> out = {probe.params};
+    KeywordGlobalParams seed = probe.params;
+    seed.population = peak * 2.0;
+    seed.beta = 0.5;
+    seed.delta = 0.45;
+    seed.gamma = 0.5;
+    seed.i0 = 1.0;
+    out.push_back(seed);
+    seed.beta = 0.9;
+    seed.delta = 0.7;
+    seed.gamma = 0.2;
+    out.push_back(seed);
+    return out;
+  }();
+  FitState best_joint = probe;
+  double best_joint_rmse = std::numeric_limits<double>::infinity();
+  for (const KeywordGlobalParams& seed : seeds) {
+    FitState trial = probe;
+    trial.params = seed;
+    DSPOT_RETURN_IF_ERROR(
+        FitBaseParams(&trial, /*multi_start=*/false, scratch));
+    FitShockStrengths(&trial, trial.shocks.size() - 1,
+                      options.max_shock_strength, scratch);
+    DSPOT_RETURN_IF_ERROR(
+        FitBaseParams(&trial, /*multi_start=*/false, scratch));
+    const double trial_rmse = StateRmse(trial, scratch);
+    if (trial_rmse < best_joint_rmse) {
+      best_joint_rmse = trial_rmse;
+      best_joint = std::move(trial);
+    }
+  }
+  CandidateFit fit;
+  fit.cost = StateCostBits(best_joint, scratch);
+  fit.rmse = StateRmse(best_joint, scratch);
+  fit.health = health;
+  best_joint.health = nullptr;
+  fit.probe = std::move(best_joint);
+  return fit;
+}
+
 /// One pass of greedy shock detection: propose candidates from the current
 /// residual, refine their placement, fit their strengths, and keep the
 /// best candidate. Acceptance is *optimistic*: a candidate is kept if it
@@ -349,6 +427,13 @@ Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
 /// remaining trains), so a strict per-addition MDL gate deadlocks; the
 /// strict gate is instead applied by the backward pruning pass after the
 /// joint refit. Returns true if a shock was added.
+///
+/// Every candidate is judged from the same incumbent, so they are fit
+/// concurrently (options.num_threads; one FitScratch per block of
+/// candidates) and folded afterwards in candidate order, exactly as a
+/// serial loop would: the first failing candidate's error, the restarts,
+/// the verbose lines and the acceptance scan, where the first of equally
+/// cheap candidates wins. The result is bit-identical at any thread count.
 StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
                            double* current_cost, FitScratch* scratch) {
   const std::span<const double> estimate = SimulateStateInto(*state, scratch);
@@ -365,87 +450,53 @@ StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
   }
   const double base_cost = *current_cost;
   const double base_rmse = StateRmse(*state, scratch);
+  ParallelOptions popts;
+  popts.num_threads = options.num_threads;
+  popts.cancel = options.guard.cancel;
+  std::vector<StatusOr<CandidateFit>> fits =
+      ParallelTryMapWithScratch<CandidateFit, FitScratch>(
+          candidates.size(), popts,
+          [&](size_t i, FitScratch* block_scratch) {
+            return FitShockCandidate(*state, candidates[i], options,
+                                     block_scratch);
+          });
   // The forward pass optimizes explanatory power optimistically; the
   // backward pass restores parsimony.
   double best_cost = std::numeric_limits<double>::infinity();
-  FitState best_state = *state;
-  bool improved = false;
-  for (const Shock& candidate : candidates) {
-    FitState probe = *state;
-    probe.shocks.push_back(RefineShockPlacement(
-        *state, candidate, options.max_shock_strength, scratch));
-    FitShockStrengths(&probe, probe.shocks.size() - 1,
-                      options.max_shock_strength, scratch);
-    // Joint refinement before the MDL verdict: the incumbent base was fit
-    // with this spike mass unexplained, so judge the candidate only after
-    // base and strengths are refit *together*. Shock-free optima often sit
-    // in degenerate basins (e.g. a slow-ramp fit with tiny beta/delta
-    // where no eps(t) can produce a spike), and neither a warm base refit
-    // (stays in the basin) nor a plain multi-start (the basin wins as long
-    // as the strengths are zero) escapes — so each start gets a mini-EM:
-    // base LM, strength fit, base LM again.
-    {
-      const double peak = probe.peak;
-      const std::vector<KeywordGlobalParams> seeds = [&] {
-        std::vector<KeywordGlobalParams> out = {probe.params};
-        KeywordGlobalParams seed = probe.params;
-        seed.population = peak * 2.0;
-        seed.beta = 0.5;
-        seed.delta = 0.45;
-        seed.gamma = 0.5;
-        seed.i0 = 1.0;
-        out.push_back(seed);
-        seed.beta = 0.9;
-        seed.delta = 0.7;
-        seed.gamma = 0.2;
-        out.push_back(seed);
-        return out;
-      }();
-      FitState best_joint = probe;
-      double best_joint_rmse = std::numeric_limits<double>::infinity();
-      for (const KeywordGlobalParams& seed : seeds) {
-        FitState trial = probe;
-        trial.params = seed;
-        DSPOT_RETURN_IF_ERROR(
-            FitBaseParams(&trial, /*multi_start=*/false, scratch));
-        FitShockStrengths(&trial, trial.shocks.size() - 1,
-                          options.max_shock_strength, scratch);
-        DSPOT_RETURN_IF_ERROR(
-            FitBaseParams(&trial, /*multi_start=*/false, scratch));
-        const double trial_rmse = StateRmse(trial, scratch);
-        if (trial_rmse < best_joint_rmse) {
-          best_joint_rmse = trial_rmse;
-          best_joint = std::move(trial);
-        }
-      }
-      probe = std::move(best_joint);
+  CandidateFit* best = nullptr;
+  for (StatusOr<CandidateFit>& fit_or : fits) {
+    DSPOT_RETURN_IF_ERROR(fit_or.status());
+    CandidateFit& fit = *fit_or;
+    if (state->health) {
+      state->health->restarts += fit.health.restarts;
     }
-    const double cost = StateCostBits(probe, scratch);
-    const double rmse = StateRmse(probe, scratch);
     if (options.verbose) {
       std::fprintf(stderr, "[dspot]   cand %s -> rmse=%.3f cost=%.1f (vs %.1f)\n",
-                   probe.shocks.back().ToString().c_str(), rmse, cost,
-                   base_cost);
+                   fit.probe.shocks.back().ToString().c_str(), fit.rmse,
+                   fit.cost, base_cost);
     }
     const bool mdl_better =
-        cost < base_cost * (1.0 - options.min_cost_decrease) ||
-        cost < base_cost - 1.0;
-    const bool rmse_better = rmse < base_rmse * (1.0 - options.min_rmse_decrease);
+        fit.cost < base_cost * (1.0 - options.min_cost_decrease) ||
+        fit.cost < base_cost - 1.0;
+    const bool rmse_better =
+        fit.rmse < base_rmse * (1.0 - options.min_rmse_decrease);
     // Among acceptable candidates, prefer the cheaper description: cost
     // comparisons between candidates are meaningful even when the shared
     // residual tail keeps all of them above the incumbent.
-    if ((mdl_better || rmse_better) && cost < best_cost) {
-      best_cost = cost;
-      best_state = probe;
-      improved = true;
+    if ((mdl_better || rmse_better) && fit.cost < best_cost) {
+      best_cost = fit.cost;
+      best = &fit;
     }
   }
-  if (improved) {
-    DSPOT_COUNT("global_fit.shocks_added", 1);
-    *state = std::move(best_state);
-    *current_cost = best_cost;
+  if (best == nullptr) {
+    return false;
   }
-  return improved;
+  DSPOT_COUNT("global_fit.shocks_added", 1);
+  // A probe differs from the incumbent only in its parameters and shocks.
+  state->params = best->probe.params;
+  state->shocks = std::move(best->probe.shocks);
+  *current_cost = best_cost;
+  return true;
 }
 
 /// The alternation loop shared by FitGlobalSequence (cold start) and

@@ -75,11 +75,12 @@ struct GlobalFitOptions {
   /// the alternation instead of the MDL-optimal snapshot. Never enable in
   /// production use — it disables the parsimony guarantee.
   bool return_final_state = false;
-  /// Worker threads for fitting keywords concurrently in GlobalFit
-  /// (0 = hardware concurrency, 1 = serial). Each keyword's GLOBALFIT is
-  /// independent and results are assembled in keyword order, so the fit
-  /// is bit-identical at any thread count. FitDspot plumbs
-  /// DspotOptions::num_threads through this field.
+  /// Worker threads (0 = hardware concurrency, 1 = serial) for fitting
+  /// keywords concurrently in GlobalFit and, inside one keyword's fit, for
+  /// evaluating the shock candidates of each greedy pass concurrently.
+  /// Keywords are assembled in keyword order and candidates are judged in
+  /// candidate order, so the fit is bit-identical at any thread count.
+  /// FitDspot plumbs DspotOptions::num_threads through this field.
   size_t num_threads = 1;
   /// Deadline/cancellation pair, checked at alternation-round and
   /// shock-addition boundaries (and inside every LM solve). On deadline

@@ -4,76 +4,6 @@
 
 namespace dspot {
 
-namespace {
-
-/// Forward substitution: solves L y = b with lower-triangular L.
-std::vector<double> ForwardSubstitute(const Matrix& l,
-                                      const std::vector<double>& b) {
-  const size_t n = l.rows();
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (size_t j = 0; j < i; ++j) {
-      sum -= l(i, j) * y[j];
-    }
-    y[i] = sum / l(i, i);
-  }
-  return y;
-}
-
-/// Backward substitution: solves L^T x = y with lower-triangular L.
-std::vector<double> BackwardSubstituteTransposed(const Matrix& l,
-                                                 const std::vector<double>& y) {
-  const size_t n = l.rows();
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t j = ii + 1; j < n; ++j) {
-      sum -= l(j, ii) * x[j];
-    }
-    x[ii] = sum / l(ii, ii);
-  }
-  return x;
-}
-
-}  // namespace
-
-StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("CholeskyFactor: matrix is not square");
-  }
-  const size_t n = a.rows();
-  Matrix l(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (size_t k = 0; k < j; ++k) {
-        sum -= l(i, k) * l(j, k);
-      }
-      if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return Status::NumericalError(
-              "CholeskyFactor: matrix is not positive definite");
-        }
-        l(i, j) = std::sqrt(sum);
-      } else {
-        l(i, j) = sum / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
-StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
-                                            const std::vector<double>& b) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("CholeskySolve: size mismatch");
-  }
-  DSPOT_ASSIGN_OR_RETURN(Matrix l, CholeskyFactor(a));
-  std::vector<double> y = ForwardSubstitute(l, b);
-  return BackwardSubstituteTransposed(l, y);
-}
-
 StatusOr<std::vector<double>> RegularizedLdltSolve(const Matrix& a,
                                                    const std::vector<double>& b,
                                                    double min_pivot) {

@@ -13,15 +13,6 @@ namespace dspot {
 /// Direct solvers for the small dense systems that appear in the
 /// Levenberg-Marquardt normal equations and the AR least-squares fit.
 
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Returns the lower-triangular factor, or NumericalError if A is not
-/// (numerically) positive definite.
-StatusOr<Matrix> CholeskyFactor(const Matrix& a);
-
-/// Solves A x = b for symmetric positive-definite A via Cholesky.
-StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
-                                            const std::vector<double>& b);
-
 /// Solves A x = b for symmetric A via LDL^T with diagonal regularization:
 /// if a pivot falls below `min_pivot`, it is lifted to `min_pivot`. This is
 /// what LM uses, since its damped Hessians can be near-singular.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -102,56 +101,68 @@ void ParallelFor(size_t n, const ParallelOptions& options, const Fn& fn) {
   });
 }
 
-/// Maps `fn(i) -> StatusOr<T>` over [0, n) in parallel and collects the
-/// values into a vector in index order (slot i holds fn(i), bit-identical
-/// at any thread count). Errors do not tear down in-flight work: every
-/// index still runs, and the returned status is the error of the *lowest
-/// failing index* — the same error a serial first-failure loop reports,
-/// keeping the error path deterministic too.
-template <typename T, typename Fn>
-StatusOr<std::vector<T>> ParallelMap(size_t n, const ParallelOptions& options,
-                                     const Fn& fn) {
-  std::vector<std::optional<T>> slots(n);
-  std::vector<Status> statuses(n, Status::Ok());
-  ParallelFor(n, options, [&slots, &statuses, &fn](size_t i) {
-    StatusOr<T> result = fn(i);
-    if (result.ok()) {
-      slots[i] = std::move(result).value();
-    } else {
-      statuses[i] = result.status();
+/// Maps `fn(i, Scratch*) -> StatusOr<T>` over [0, n) and keeps *every*
+/// per-index outcome: slot i holds fn(i)'s StatusOr verbatim, and an index
+/// skipped by a cancelled token (see ParallelOptions::cancel) comes back as
+/// Status::Cancelled. Each block of indices (see ParallelForBlocks)
+/// default-constructs one `Scratch` and lends it to its indices in turn.
+/// Which indices share a scratch depends on the thread count, so a body
+/// must not let what an earlier index left in the scratch change its values
+/// (caches keyed exactly, buffers resized per use); then slot contents are
+/// bit-identical at any thread count.
+template <typename T, typename Scratch, typename Fn>
+std::vector<StatusOr<T>> ParallelTryMapWithScratch(
+    size_t n, const ParallelOptions& options, const Fn& fn) {
+  std::vector<StatusOr<T>> slots;
+  slots.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    slots.emplace_back(Status::Cancelled("ParallelMap: index not run"));
+  }
+  ParallelForBlocks(n, options, [&slots, &fn](size_t begin, size_t end) {
+    Scratch scratch;
+    for (size_t i = begin; i < end; ++i) {
+      slots[i] = fn(i, &scratch);
     }
   });
-  for (size_t i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) {
-      return statuses[i];
-    }
-  }
-  std::vector<T> values;
-  values.reserve(n);
-  for (std::optional<T>& slot : slots) {
-    values.push_back(std::move(*slot));
-  }
-  return values;
+  return slots;
 }
 
 /// Like ParallelMap, but keeps *every* per-index outcome instead of
 /// collapsing to the first error: slot i holds fn(i)'s StatusOr verbatim,
 /// so callers can implement skip-and-report policies (use the successful
 /// fits, surface the failed indices) without losing partial work. Indices
-/// skipped by a cancelled token (see ParallelOptions::cancel) come back as
-/// Status::Cancelled in their slots. Same determinism contract as
-/// ParallelMap: slot contents are bit-identical at any thread count.
+/// skipped by a cancelled token come back as Status::Cancelled in their
+/// slots. Slot contents are bit-identical at any thread count.
 template <typename T, typename Fn>
 std::vector<StatusOr<T>> ParallelTryMap(size_t n,
                                         const ParallelOptions& options,
                                         const Fn& fn) {
-  std::vector<StatusOr<T>> slots;
-  slots.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    slots.emplace_back(Status::Cancelled("ParallelTryMap: index not run"));
+  struct NoScratch {};
+  return ParallelTryMapWithScratch<T, NoScratch>(
+      n, options, [&fn](size_t i, NoScratch*) { return fn(i); });
+}
+
+/// Maps `fn(i) -> StatusOr<T>` over [0, n) in parallel and collects the
+/// values into a vector in index order (slot i holds fn(i), bit-identical
+/// at any thread count). Errors do not tear down in-flight work: every
+/// index still runs, and the returned status is the error of the *lowest
+/// failing index* — the same error a serial first-failure loop reports,
+/// keeping the error path deterministic too. An index that a cancelled
+/// token left unrun fails with Status::Cancelled and takes part in the
+/// lowest-index rule like any other error.
+template <typename T, typename Fn>
+StatusOr<std::vector<T>> ParallelMap(size_t n, const ParallelOptions& options,
+                                     const Fn& fn) {
+  std::vector<StatusOr<T>> slots = ParallelTryMap<T>(n, options, fn);
+  std::vector<T> values;
+  values.reserve(n);
+  for (StatusOr<T>& slot : slots) {
+    if (!slot.ok()) {
+      return slot.status();
+    }
+    values.push_back(std::move(slot).value());
   }
-  ParallelFor(n, options, [&slots, &fn](size_t i) { slots[i] = fn(i); });
-  return slots;
+  return values;
 }
 
 }  // namespace dspot

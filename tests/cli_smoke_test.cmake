@@ -107,6 +107,35 @@ foreach(needle "traceEvents" "global_fit.round" "local_fit.location"
   endif()
 endforeach()
 
+# --- Thread-count identity --------------------------------------------------
+# Keywords, shock candidates and locations all fan out over --threads, and
+# none of it may show in the report. Only the wall-clock health line and
+# the export confirmations may differ, the same filter as CI's
+# observability diff.
+function(fit_report threads out_var)
+  execute_process(COMMAND "${DSPOT_CLI}" fit-tensor --input "${tensor_csv}"
+                          --threads ${threads}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "fit-tensor --threads ${threads} failed, rc=${rc}:\n"
+                        "${out}\n${err}")
+  endif()
+  string(REGEX REPLACE "\n(fit health:|wrote )[^\n]*" "" out "\n${out}")
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+fit_report(1 report_1thread)
+fit_report(4 report_4threads)
+if(NOT report_1thread STREQUAL report_4threads)
+  message(FATAL_ERROR "fit-tensor report differs between --threads 1 and 4:\n"
+                      "--- 1 thread${report_1thread}\n"
+                      "--- 4 threads${report_4threads}")
+endif()
+if(NOT report_1thread MATCHES "harry_potter")
+  message(FATAL_ERROR "fit-tensor report lacks the keyword:${report_1thread}")
+endif()
+
 # --- Model snapshots ---------------------------------------------------------
 # The serving loop end to end: fit and save, warm refit from the saved
 # model, then absorb an appended window. Every save writes the binary

@@ -1,12 +1,17 @@
 // Tests for GLOBALFIT (Algorithm 2): event recovery, growth detection,
-// MDL behaviour and the ablation switches.
+// MDL behaviour, the ablation switches, and the thread-count identity of
+// the concurrent shock-candidate search.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "core/global_fit.h"
 #include "core/simulate.h"
 #include "datagen/catalog.h"
 #include "datagen/generator.h"
+#include "obs/metrics.h"
 #include "timeseries/metrics.h"
 
 namespace dspot {
@@ -165,6 +170,111 @@ TEST(GlobalFitTensor, FitsEveryKeyword) {
 TEST(GlobalFitTensor, RejectsEmptyTensor) {
   EXPECT_EQ(GlobalFit(ActivityTensor()).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The harry_potter global sequence, cut to `ticks` to keep fits quick.
+Series HarryPotterSequence(size_t ticks) {
+  GeneratorConfig config = GoogleTrendsConfig(42);
+  config.n_ticks = ticks;
+  auto s = GenerateGlobalSequence(HarryPotterScenario(), config);
+  EXPECT_TRUE(s.ok());
+  return *s;
+}
+
+/// Exact equality (EXPECT_EQ on doubles is bit-equality) of everything a
+/// fit returns except its wall time.
+void ExpectSameFit(const GlobalSequenceFit& a, const GlobalSequenceFit& b) {
+  EXPECT_EQ(a.params.population, b.params.population);
+  EXPECT_EQ(a.params.beta, b.params.beta);
+  EXPECT_EQ(a.params.delta, b.params.delta);
+  EXPECT_EQ(a.params.gamma, b.params.gamma);
+  EXPECT_EQ(a.params.i0, b.params.i0);
+  EXPECT_EQ(a.params.growth_rate, b.params.growth_rate);
+  EXPECT_EQ(a.params.growth_start, b.params.growth_start);
+  ASSERT_EQ(a.shocks.size(), b.shocks.size());
+  for (size_t k = 0; k < a.shocks.size(); ++k) {
+    const Shock& sa = a.shocks[k];
+    const Shock& sb = b.shocks[k];
+    EXPECT_EQ(sa.keyword, sb.keyword) << "shock " << k;
+    EXPECT_EQ(sa.period, sb.period) << "shock " << k;
+    EXPECT_EQ(sa.start, sb.start) << "shock " << k;
+    EXPECT_EQ(sa.width, sb.width) << "shock " << k;
+    EXPECT_EQ(sa.base_strength, sb.base_strength) << "shock " << k;
+    EXPECT_EQ(sa.global_strengths, sb.global_strengths) << "shock " << k;
+    EXPECT_EQ(sa.local_strengths.data(), sb.local_strengths.data())
+        << "shock " << k;
+  }
+  EXPECT_EQ(a.estimate.values(), b.estimate.values());
+  EXPECT_EQ(a.cost_bits, b.cost_bits);
+  EXPECT_EQ(a.rmse, b.rmse);
+  EXPECT_EQ(a.health.iterations, b.health.iterations);
+  EXPECT_EQ(a.health.restarts, b.health.restarts);
+  EXPECT_EQ(a.health.termination, b.health.termination);
+}
+
+TEST(GlobalFitThreads, ColdFitBitIdenticalAcrossThreadCounts) {
+  const Series data = HarryPotterSequence(200);
+  GlobalFitOptions options;
+  options.num_threads = 1;
+  auto serial = FitGlobalSequence(data, 0, 1, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  // The identity must cover the candidate fan-out, not just the base fit.
+  ASSERT_FALSE(serial->shocks.empty());
+  for (size_t threads : {size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    options.num_threads = threads;
+    auto wide = FitGlobalSequence(data, 0, 1, options);
+    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+    ExpectSameFit(*serial, *wide);
+  }
+}
+
+TEST(GlobalFitThreads, WarmRefitBitIdenticalAcrossThreadCounts) {
+  const Series data = HarryPotterSequence(200);
+  GlobalFitOptions options;
+  options.num_threads = 1;
+  auto previous = FitGlobalSequence(data.Slice(0, 160), 0, 1, options);
+  ASSERT_TRUE(previous.ok()) << previous.status().ToString();
+  auto serial = RefitGlobalSequence(data, 0, 1, *previous, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (size_t threads : {size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    options.num_threads = threads;
+    auto wide = RefitGlobalSequence(data, 0, 1, *previous, options);
+    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+    ExpectSameFit(*serial, *wide);
+  }
+}
+
+TEST(GlobalFitThreads, CancelDuringCandidateSearchReturnsCancelled) {
+  const Series data = HarryPotterSequence(575);
+  GlobalFitOptions options;
+  options.num_threads = 4;
+  const CancellationToken token = CancellationToken::Cancellable();
+  options.guard.cancel = token;
+  // The canceller waits for the first batch of shock candidates (counted
+  // just before they fan out), so the token fires while candidates run
+  // on the pool. Observation never changes a fit, so arming it is safe.
+  ObsRegistry& registry = ObsRegistry::Instance();
+  const bool was_enabled = ObsEnabled();
+  if (!was_enabled) registry.Enable();
+  const uint64_t before =
+      registry.Snapshot().CounterValue("global_fit.shock_candidates");
+  std::thread canceller([&registry, before, token] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (registry.Snapshot().CounterValue("global_fit.shock_candidates") ==
+               before &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel();
+  });
+  auto fit = FitGlobalSequence(data, 0, 1, options);
+  canceller.join();
+  if (!was_enabled) registry.Disable();
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kCancelled);
 }
 
 /// Property sweep: the annual-event scenario is recovered across seeds —

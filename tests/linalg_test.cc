@@ -12,6 +12,66 @@
 namespace dspot {
 namespace {
 
+// Test-local reference for the SPD tests: the textbook Cholesky
+// factorization A = L L^T, independent of the regularized LDL^T that the
+// library ships and LM uses.
+
+/// Returns the lower-triangular factor, or NumericalError if A is not
+/// (numerically) positive definite.
+StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument("CholeskyFactor: matrix is not square");
+  }
+  const size_t n = a.rows();
+  Matrix l(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double sum = a(i, j);
+      for (size_t k = 0; k < j; ++k) {
+        sum -= l(i, k) * l(j, k);
+      }
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) {
+          return Status::NumericalError(
+              "CholeskyFactor: matrix is not positive definite");
+        }
+        l(i, j) = std::sqrt(sum);
+      } else {
+        l(i, j) = sum / l(j, j);
+      }
+    }
+  }
+  return l;
+}
+
+/// Solves A x = b for symmetric positive-definite A: L y = b forward, then
+/// L^T x = y backward.
+StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
+                                            const std::vector<double>& b) {
+  if (a.rows() != b.size()) {
+    return Status::InvalidArgument("CholeskySolve: size mismatch");
+  }
+  DSPOT_ASSIGN_OR_RETURN(Matrix l, CholeskyFactor(a));
+  const size_t n = l.rows();
+  std::vector<double> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (size_t j = 0; j < i; ++j) {
+      sum -= l(i, j) * y[j];
+    }
+    y[i] = sum / l(i, i);
+  }
+  std::vector<double> x(n);
+  for (size_t i = n; i-- > 0;) {
+    double sum = y[i];
+    for (size_t j = i + 1; j < n; ++j) {
+      sum -= l(j, i) * x[j];
+    }
+    x[i] = sum / l(i, i);
+  }
+  return x;
+}
+
 TEST(Matrix, ConstructionAndIndexing) {
   Matrix m(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);

@@ -226,6 +226,46 @@ TEST(ParallelMap, ReportsLowestFailingIndexDeterministically) {
   }
 }
 
+TEST(ParallelMap, PreFiredTokenReturnsCancelled) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ParallelOptions options;
+    options.num_threads = threads;
+    options.cancel = CancellationToken::Cancellable();
+    options.cancel.Cancel();
+    std::atomic<int> calls{0};
+    auto result =
+        ParallelMap<int>(16, options, [&calls](size_t i) -> StatusOr<int> {
+          calls.fetch_add(1);
+          return static_cast<int>(i);
+        });
+    ASSERT_FALSE(result.ok()) << threads << " threads";
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(calls.load(), 0);
+  }
+}
+
+TEST(ParallelMap, TokenFiredMidMapReturnsCancelled) {
+  ParallelOptions options;
+  options.num_threads = 4;
+  const CancellationToken token = CancellationToken::Cancellable();
+  options.cancel = token;
+  // Index 0 runs first in the first block claimed and fires the token;
+  // every other index waits for it. Each runner then finishes at most the
+  // block it holds, so most of the 64 indices are never run, and index 0
+  // itself succeeds: the reported error is an unrun index's.
+  auto result =
+      ParallelMap<int>(64, options, [&token](size_t i) -> StatusOr<int> {
+        if (i == 0) {
+          token.Cancel();
+        } else {
+          while (!token.cancelled()) std::this_thread::yield();
+        }
+        return static_cast<int>(i);
+      });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
 /// Asserts that two pipeline results are bit-identical — the parallel
 /// runtime's core guarantee (slot-ordered collection, index-ordered
 /// reductions). EXPECT_EQ on doubles is exact equality, not approximate.
